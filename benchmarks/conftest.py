@@ -14,7 +14,7 @@ of each table instead of appending duplicates.
 
 :func:`record_fastpath` additionally maintains a *machine-readable* perf
 trajectory in ``benchmarks/BENCH_FASTPATH.json`` (per-workload wall-clock
-for the reference vs vectorized execution backend, plus host metadata),
+for the reference vs batched execution backend, plus host metadata),
 so future PRs can track backend speedups without parsing tables.
 """
 
@@ -76,18 +76,13 @@ def pytest_configure(config):
 def record_fastpath():
     """Upsert one workload's backend comparison into BENCH_FASTPATH.json.
 
-    Each entry records wall-clock for the reference, vectorized and (when
-    measured) mega-batched backends over the same scenario list, plus the
-    host it was measured on (per entry, so partial re-runs on another
-    machine stay correctly attributed).  File level:
+    Each entry records wall-clock for the reference and (when measured)
+    mega-batched backends over the same scenario list, plus the host it
+    was measured on (per entry, so partial re-runs on another machine
+    stay correctly attributed).  File level:
 
-    * ``median_speedup`` — vectorized over reference, median across
-      workloads (the historical trajectory number);
-    * ``median_speedup_batched`` — batched over reference;
-    * ``median_batched_vs_vectorized`` — the *additional* gain of
-      mega-batching, median across every recorded per-``n`` group (the
-      ``groups`` lists inside the workload entries) so small and large
-      ``n`` weigh equally;
+    * ``median_speedup_batched`` — batched over reference, median
+      across workloads (the trajectory number);
     * ``median_compaction_gain`` (schema 3) — the batch scheduler's
       lane-compaction gain over mask-only batching (the PR-4 kernel
       behavior), median across every group that records a
@@ -95,16 +90,12 @@ def record_fastpath():
     * ``median_packing_gain`` (schema 4) — cross-``n`` lane packing
       over the per-``n`` grouping (the PR-5 scheduler behavior), median
       across every group recording a ``packing_gain`` (the mixed-width
-      ensembles);
-    * ``median_steal_gain`` (schema 4) — work-stealing pool mode over
-      the throttled-but-no-steal pool on the same plan, median across
-      every group recording a ``steal_gain``.
+      ensembles).
     """
 
     def _record(
         workload: str,
         reference_s: float,
-        vectorized_s: float,
         scenarios: int,
         batched_s: float | None = None,
         extra: dict | None = None,
@@ -122,8 +113,6 @@ def record_fastpath():
         entry = {
             "scenarios": scenarios,
             "reference_s": round(reference_s, 4),
-            "vectorized_s": round(vectorized_s, 4),
-            "speedup": round(reference_s / vectorized_s, 2),
             # Host metadata lives *per workload* so a partial re-run on a
             # different machine cannot misattribute the untouched entries.
             "host": {
@@ -136,18 +125,12 @@ def record_fastpath():
         if batched_s is not None:
             entry["batched_s"] = round(batched_s, 4)
             entry["speedup_batched"] = round(reference_s / batched_s, 2)
-            entry["speedup_batched_vs_vectorized"] = round(
-                vectorized_s / batched_s, 2
-            )
         if extra:
             entry.update(extra)
         workloads = data.setdefault("workloads", {})
         workloads[workload] = entry
         data.pop("host", None)  # legacy file-level host block
         data["schema"] = 5
-        data["median_speedup"] = round(
-            statistics.median(w["speedup"] for w in workloads.values()), 2
-        )
         batched = [
             w["speedup_batched"]
             for w in workloads.values()
@@ -157,20 +140,9 @@ def record_fastpath():
             data["median_speedup_batched"] = round(
                 statistics.median(batched), 2
             )
-        group_gains = [
-            g["speedup_vs_vectorized"]
-            for w in workloads.values()
-            for g in w.get("groups", ())
-            if "speedup_vs_vectorized" in g
-        ]
-        if group_gains:
-            data["median_batched_vs_vectorized"] = round(
-                statistics.median(group_gains), 2
-            )
         for gain_key, file_key in (
             ("compaction_gain", "median_compaction_gain"),
             ("packing_gain", "median_packing_gain"),
-            ("steal_gain", "median_steal_gain"),
         ):
             gains = [
                 g[gain_key]

@@ -1,13 +1,12 @@
-"""FASTPATH: the vectorized and mega-batched backends vs the reference.
+"""FASTPATH: the mega-batched backend vs the reference simulator.
 
-Times the three execution backends over the same campaign ensemble
-workloads the TERMINATION and LATENCY-DIST experiments run — per-scenario
-results are asserted byte-identical (canonical JSON lines) across all
-three before any speedup is reported, so the numbers always compare
-*equivalent* work.  Wall-clocks land in ``benchmarks/BENCH_FASTPATH.json``
-(machine-readable trajectory: per-``n`` groups and medians, for both the
-reference and the vectorized baseline) and the per-group breakdown in
-``results.txt``.
+Times both execution engines over the same campaign ensemble workloads
+the TERMINATION and LATENCY-DIST experiments run — per-scenario results
+are asserted byte-identical (canonical JSON lines) before any speedup is
+reported, so the numbers always compare *equivalent* work.  Wall-clocks
+land in ``benchmarks/BENCH_FASTPATH.json`` (machine-readable trajectory:
+per-``n`` groups and medians against the reference) and the per-group
+breakdown in ``results.txt``.
 
 Each group is one seed ensemble (24 seeds — campaign-scale, which is
 what the mega-batched backend exists for: the batch scheduler packs a
@@ -28,11 +27,10 @@ from repro.engine.executor import execute_scenarios
 from repro.engine.scenarios import ScenarioSpec, termination_grid
 from repro.engine.store import canonical_line
 
-# Conservative floors vs the measured ~2.1-2.8x (batched over vectorized)
-# and ~6x+ (fast paths over reference) so a loaded CI box cannot flake
-# the suite; BENCH_FASTPATH.json records the real ratios.
-MIN_SPEEDUP = 2.5  # vectorized (and batched) over reference
-MIN_BATCH_GAIN = 1.2  # batched over vectorized, median across groups
+# A conservative floor vs the measured ~10x+ (batched over reference) so
+# a loaded CI box cannot flake the suite; BENCH_FASTPATH.json records the
+# real ratios.
+MIN_SPEEDUP = 2.5  # batched over reference
 # Lane compaction over mask-only batching (the PR-4 kernel behavior) on
 # the heterogeneous-latency ensemble; measured ~1.9-2.7x.
 MIN_COMPACTION_GAIN = 1.3
@@ -53,10 +51,8 @@ HEADERS = [
     "group",
     "scenarios",
     "ref_ms",
-    "vect_ms",
     "batch_ms",
     "vs_ref",
-    "vs_vect",
 ]
 
 
@@ -73,40 +69,32 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def _time_backends(specs):
-    """(reference_s, vectorized_s, batched_s) for one scenario list,
-    three-way equivalence asserted first."""
+    """(reference_s, batched_s) for one scenario list, equivalence
+    asserted first."""
     reference = execute_scenarios(specs, backend="reference")
-    vectorized = execute_scenarios(specs, backend="vectorized")
     batched = execute_scenarios(specs, backend="batched")
-    lines = [canonical_line(r) for r in reference]
-    assert lines == [canonical_line(r) for r in vectorized], (
-        "backends disagree — speedup numbers would be meaningless"
-    )
-    assert lines == [canonical_line(r) for r in batched], (
-        "backends disagree — speedup numbers would be meaningless"
-    )
+    assert [canonical_line(r) for r in reference] == [
+        canonical_line(r) for r in batched
+    ], "backends disagree — speedup numbers would be meaningless"
     return (
         _best_of(lambda: execute_scenarios(specs, backend="reference")),
-        _best_of(lambda: execute_scenarios(specs, backend="vectorized")),
         _best_of(lambda: execute_scenarios(specs, backend="batched")),
     )
 
 
 def _compare_groups(groups):
     rows, groups_out = [], []
-    total_ref = total_vect = total_batch = 0.0
+    total_ref = total_batch = 0.0
     total_n = 0
     for label, specs in groups:
-        ref_s, vect_s, batch_s = _time_backends(specs)
+        ref_s, batch_s = _time_backends(specs)
         rows.append(
             [
                 label,
                 len(specs),
                 round(ref_s * 1e3, 1),
-                round(vect_s * 1e3, 1),
                 round(batch_s * 1e3, 1),
                 round(ref_s / batch_s, 1),
-                round(vect_s / batch_s, 2),
             ]
         )
         groups_out.append(
@@ -114,14 +102,11 @@ def _compare_groups(groups):
                 "group": label,
                 "scenarios": len(specs),
                 "reference_s": round(ref_s, 4),
-                "vectorized_s": round(vect_s, 4),
                 "batched_s": round(batch_s, 4),
                 "speedup_vs_reference": round(ref_s / batch_s, 2),
-                "speedup_vs_vectorized": round(vect_s / batch_s, 2),
             }
         )
         total_ref += ref_s
-        total_vect += vect_s
         total_batch += batch_s
         total_n += len(specs)
     rows.append(
@@ -129,31 +114,22 @@ def _compare_groups(groups):
             "total",
             total_n,
             round(total_ref * 1e3, 1),
-            round(total_vect * 1e3, 1),
             round(total_batch * 1e3, 1),
             round(total_ref / total_batch, 1),
-            round(total_vect / total_batch, 2),
         ]
     )
-    totals = (total_ref, total_vect, total_batch, total_n)
-    return rows, groups_out, totals
+    return rows, groups_out, (total_ref, total_batch, total_n)
 
 
 def _assert_and_record(workload, grid_desc, groups, record_fastpath, benchmark):
     rows, group_entries, totals = benchmark.pedantic(
         lambda: _compare_groups(groups), rounds=1, iterations=1
     )
-    total_ref, total_vect, total_batch, total_n = totals
-    assert total_ref / total_vect >= MIN_SPEEDUP
+    total_ref, total_batch, total_n = totals
     assert total_ref / total_batch >= MIN_SPEEDUP
-    median_gain = statistics.median(
-        g["speedup_vs_vectorized"] for g in group_entries
-    )
-    assert median_gain >= MIN_BATCH_GAIN
     record_fastpath(
         workload,
         total_ref,
-        total_vect,
         total_n,
         batched_s=total_batch,
         extra={"grid": grid_desc, "groups": group_entries},
@@ -178,9 +154,8 @@ def test_bench_fastpath_termination(benchmark, emit, record_fastpath):
         format_table(
             HEADERS,
             rows,
-            title="FASTPATH-TERM — mega-batched vs vectorized vs reference "
-            "backend on the TERMINATION ensemble (identical metrics "
-            "asserted first)",
+            title="FASTPATH-TERM — mega-batched vs reference backend on "
+            "the TERMINATION ensemble (identical metrics asserted first)",
         )
     )
 
@@ -224,7 +199,6 @@ HETERO_HEADERS = [
     "group",
     "scenarios",
     "ref_ms",
-    "vect_ms",
     "masked_ms",
     "batch_ms",
     "vs_ref",
@@ -246,23 +220,18 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
 
     def _run():
         rows, entries = [], []
-        total_ref = total_vect = total_masked = total_batch = total_n = 0
+        total_ref = total_masked = total_batch = total_n = 0
         for label, specs in groups:
             reference = execute_scenarios(specs, backend="reference")
-            vectorized = execute_scenarios(specs, backend="vectorized")
             masked = execute_scenarios(
                 specs, backend="batched", compact=False
             )
             compacted = execute_scenarios(specs, backend="batched")
             lines = [canonical_line(r) for r in reference]
-            assert lines == [canonical_line(r) for r in vectorized]
             assert lines == [canonical_line(r) for r in masked]
             assert lines == [canonical_line(r) for r in compacted]
             ref_s = _best_of(
                 lambda: execute_scenarios(specs, backend="reference")
-            )
-            vect_s = _best_of(
-                lambda: execute_scenarios(specs, backend="vectorized")
             )
             masked_s = _best_of(
                 lambda: execute_scenarios(
@@ -277,7 +246,6 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
                     label,
                     len(specs),
                     round(ref_s * 1e3, 1),
-                    round(vect_s * 1e3, 1),
                     round(masked_s * 1e3, 1),
                     round(batch_s * 1e3, 1),
                     round(ref_s / batch_s, 1),
@@ -289,16 +257,13 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
                     "group": label,
                     "scenarios": len(specs),
                     "reference_s": round(ref_s, 4),
-                    "vectorized_s": round(vect_s, 4),
                     "batched_masked_s": round(masked_s, 4),
                     "batched_s": round(batch_s, 4),
                     "speedup_vs_reference": round(ref_s / batch_s, 2),
-                    "speedup_vs_vectorized": round(vect_s / batch_s, 2),
                     "compaction_gain": round(masked_s / batch_s, 2),
                 }
             )
             total_ref += ref_s
-            total_vect += vect_s
             total_masked += masked_s
             total_batch += batch_s
             total_n += len(specs)
@@ -307,25 +272,23 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
                 "total",
                 total_n,
                 round(total_ref * 1e3, 1),
-                round(total_vect * 1e3, 1),
                 round(total_masked * 1e3, 1),
                 round(total_batch * 1e3, 1),
                 round(total_ref / total_batch, 1),
                 round(total_masked / total_batch, 2),
             ]
         )
-        totals = (total_ref, total_vect, total_masked, total_batch, total_n)
+        totals = (total_ref, total_masked, total_batch, total_n)
         return rows, entries, totals
 
     rows, entries, totals = benchmark.pedantic(_run, rounds=1, iterations=1)
-    total_ref, total_vect, total_masked, total_batch, total_n = totals
+    total_ref, total_masked, total_batch, total_n = totals
     median_gain = statistics.median(g["compaction_gain"] for g in entries)
     assert median_gain >= MIN_COMPACTION_GAIN
     assert total_ref / total_batch >= MIN_SPEEDUP
     record_fastpath(
         "HETERO-LAT",
         total_ref,
-        total_vect,
         total_n,
         batched_s=total_batch,
         extra={
@@ -585,26 +548,22 @@ PACKED_HEADERS = [
     "pr5_ms",
     "packed_ms",
     "packing",
-    "steal",
 ]
 
 
 def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
-    """PACKED-MIX: cross-n packing + work stealing vs the PR-5 scheduler.
+    """PACKED-MIX: cross-n packing vs the PR-5 scheduler.
 
     Each group is timed through the identical executor twice — per-``n``
     grouping (the PR-5 plan) vs ``pack_widths`` — with journal bytes
-    asserted identical first.  The steal column is the pooled leg on the
-    packed plan (jobs=2, steal on vs off): on a multi-core host stealing
-    shortens skewed tails; on a single-core host it is granularity
-    insurance and the ratio sits near 1.0 — recorded either way, never
-    floor-gated (the packing gain carries the speedup criterion).
+    asserted identical first; the two plans are timed as interleaved
+    A/A pairs (:func:`_interleaved_best`) so load drift hits both.
     """
     groups = _mixed_width_specs()
 
     def _run():
         rows, entries = [], []
-        total_ref = total_vect = total_pr5 = total_packed = total_n = 0
+        total_ref = total_pr5 = total_packed = total_n = 0
         for label, specs in groups:
             pr5 = execute_scenarios(specs, backend="batched")
             packed = execute_scenarios(
@@ -619,19 +578,22 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             ref_s = _best_of(
                 lambda: execute_scenarios(specs, backend="reference")
             )
-            vect_s = _best_of(
-                lambda: execute_scenarios(specs, backend="vectorized")
+            # Interleaved A/A floors: a 10-50 ms program on a shared
+            # box swings by tens of percent between back-to-back
+            # best-of runs, which the ratio of two floors inherits.
+            def _pr5():
+                execute_scenarios(specs, backend="batched")
+
+            def _packed():
+                execute_scenarios(specs, backend="batched", pack_widths=True)
+
+            (pr5_a, pr5_b, packed_a, packed_b), _ = _interleaved_best(
+                [_pr5, _pr5, _packed, _packed],
+                pairs=[(0, 1), (2, 3)],
+                max_repeats=30,
             )
-            pr5_s = _best_of(
-                lambda: execute_scenarios(specs, backend="batched"),
-                repeats=5,
-            )
-            packed_s = _best_of(
-                lambda: execute_scenarios(
-                    specs, backend="batched", pack_widths=True
-                ),
-                repeats=5,
-            )
+            pr5_s = min(pr5_a, pr5_b)
+            packed_s = min(packed_a, packed_b)
             rows.append(
                 [
                     label,
@@ -639,7 +601,6 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
                     round(pr5_s * 1e3, 1),
                     round(packed_s * 1e3, 1),
                     round(pr5_s / packed_s, 2),
-                    "-",
                 ]
             )
             entries.append(
@@ -647,7 +608,6 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
                     "group": label,
                     "scenarios": len(specs),
                     "reference_s": round(ref_s, 4),
-                    "vectorized_s": round(vect_s, 4),
                     "batched_unpacked_s": round(pr5_s, 4),
                     "batched_s": round(packed_s, 4),
                     "speedup_vs_reference": round(ref_s / packed_s, 2),
@@ -655,48 +615,9 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
                 }
             )
             total_ref += ref_s
-            total_vect += vect_s
             total_pr5 += pr5_s
             total_packed += packed_s
             total_n += len(specs)
-        # The pooled steal leg: one skewed packed plan across two
-        # workers, steal off vs on (identical journal bytes asserted by
-        # the differential suite; here only the wall-clocks differ).
-        steal_specs = [
-            spec
-            for _, specs in groups
-            for spec in specs
-        ] + [
-            ScenarioSpec(n=7, k=2, num_groups=2, seed=s, noise=0.35)
-            for s in range(8)
-        ]
-        pool_kw = dict(backend="batched", pack_widths=True, jobs=2)
-        nosteal_s = _best_of(
-            lambda: execute_scenarios(steal_specs, **pool_kw), repeats=3
-        )
-        steal_s = _best_of(
-            lambda: execute_scenarios(steal_specs, steal=True, **pool_kw),
-            repeats=3,
-        )
-        entries.append(
-            {
-                "group": "pool jobs=2",
-                "scenarios": len(steal_specs),
-                "pool_nosteal_s": round(nosteal_s, 4),
-                "pool_steal_s": round(steal_s, 4),
-                "steal_gain": round(nosteal_s / steal_s, 2),
-            }
-        )
-        rows.append(
-            [
-                "pool jobs=2",
-                len(steal_specs),
-                round(nosteal_s * 1e3, 1),
-                round(steal_s * 1e3, 1),
-                "-",
-                round(nosteal_s / steal_s, 2),
-            ]
-        )
         rows.append(
             [
                 "total",
@@ -704,17 +625,14 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
                 round(total_pr5 * 1e3, 1),
                 round(total_packed * 1e3, 1),
                 round(total_pr5 / total_packed, 2),
-                "-",
             ]
         )
-        totals = (total_ref, total_vect, total_pr5, total_packed, total_n)
+        totals = (total_ref, total_pr5, total_packed, total_n)
         return rows, entries, totals
 
     rows, entries, totals = benchmark.pedantic(_run, rounds=1, iterations=1)
-    total_ref, total_vect, total_pr5, total_packed, total_n = totals
-    median_packing = statistics.median(
-        g["packing_gain"] for g in entries if "packing_gain" in g
-    )
+    total_ref, total_pr5, total_packed, total_n = totals
+    median_packing = statistics.median(g["packing_gain"] for g in entries)
     assert median_packing >= MIN_PACKING_GAIN, (
         f"cross-n packing gain {median_packing} < {MIN_PACKING_GAIN} on "
         "the sparse mixed-width ensembles it exists for"
@@ -722,7 +640,6 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
     record_fastpath(
         "PACKED-MIX",
         total_ref,
-        total_vect,
         total_n,
         batched_s=total_packed,
         extra={
@@ -733,9 +650,6 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             "packing_gain": round(total_pr5 / total_packed, 2),
             "packing_baseline": "batched with per-n grouping (the PR-5 "
             "scheduler behavior)",
-            "steal_baseline": "pool jobs=2 on the packed plan with "
-            "steal off (throttled dispatch either way); single-core "
-            "hosts show ~1.0",
             "groups": entries,
         },
     )
@@ -744,8 +658,8 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             PACKED_HEADERS,
             rows,
             title="FASTPATH-PACKED — cross-n packing vs per-n grouping "
-            "on sparse mixed-width ensembles, plus the pooled "
-            "steal leg (identical journal bytes asserted first)",
+            "on sparse mixed-width ensembles (identical journal bytes "
+            "asserted first)",
         )
     )
 
@@ -806,8 +720,8 @@ def test_bench_fastpath_latency_dist(benchmark, emit, record_fastpath):
         format_table(
             HEADERS,
             rows,
-            title="FASTPATH-LAT — mega-batched vs vectorized vs reference "
-            "backend on the LATENCY-DIST ensembles (identical metrics "
-            "asserted first)",
+            title="FASTPATH-LAT — mega-batched vs reference backend on "
+            "the LATENCY-DIST ensembles (identical metrics asserted "
+            "first)",
         )
     )

@@ -2,14 +2,14 @@
 # Smoke check: tier-1 tests plus a ~30-second mini-campaign that exercises
 # the parallel executor, the JSONL store, resume-by-hash and the canonical
 # summary — so the multiprocessing path is driven on every change, not
-# just in CI benchmarks.  A final pass runs the same tiny grid on all
-# three execution backends (reference simulator, per-scenario vectorized
-# fast path, mega-batched fast path) and byte-compares the canonical
-# summaries; the batched backend's journal bytes are additionally checked
+# just in CI benchmarks.  A final pass runs the same tiny grid on both
+# execution engines (reference simulator, mega-batched fast path) and
+# byte-compares the canonical summaries; the batched backend's journal
+# bytes are additionally checked
 # to be independent of the jobs count / batch partition, and a
 # scheduler-planned heterogeneous-latency family leg (--jobs 2, tiny
 # --batch-memory envelope) is diffed against the serial reference run.
-# A mixed-n packed leg (--pack-widths --steal --jobs 4) byte-compares
+# A mixed-n packed leg (--pack-widths --jobs 4) byte-compares
 # journal and summary against the serial unpacked batched run.
 # A final telemetry leg records a --metrics sidecar (schema-validated,
 # all four engine sections non-zero) and byte-compares the journal
@@ -53,20 +53,16 @@ cmp "$summary_a" "$summary_b"
 echo "summaries byte-identical after resume: OK"
 
 echo
-echo "== backend equivalence: fast paths vs reference =="
+echo "== backend equivalence: fast path vs reference =="
 eq_grid=(-n 4 6 -k 2 --seeds 3 --noise 0.0 0.25)
 summary_ref="$workdir/summary_reference.jsonl"
-summary_vec="$workdir/summary_vectorized.jsonl"
 summary_bat="$workdir/summary_batched.jsonl"
 python -m repro campaign run --store "$workdir/journal_ref.jsonl" \
     --backend reference --summary "$summary_ref" "${eq_grid[@]}"
-python -m repro campaign run --store "$workdir/journal_vec.jsonl" \
-    --backend vectorized --summary "$summary_vec" "${eq_grid[@]}"
 python -m repro campaign run --store "$workdir/journal_bat.jsonl" \
     --backend batched --summary "$summary_bat" "${eq_grid[@]}"
-cmp "$summary_ref" "$summary_vec"
 cmp "$summary_ref" "$summary_bat"
-echo "reference, vectorized and batched summaries byte-identical: OK"
+echo "reference and batched summaries byte-identical: OK"
 
 echo
 echo "== mega-batch partition invariance: --jobs 2 journal bytes =="
@@ -84,7 +80,7 @@ echo "batched journal bytes independent of jobs/partition: OK"
 echo
 echo "== experiment registry: every family as a campaign =="
 # One small scenario grid per registered family through
-# `campaign run --family`; where the family supports the vectorized fast
+# `campaign run --family`; where the family supports the batched fast
 # path, run it on both backends and byte-compare the canonical summaries.
 run_family() {
     local family="$1"; shift
@@ -105,17 +101,6 @@ run_family() {
         --store "$fdir/ref.jsonl" "${args[@]}" > /dev/null
 }
 
-run_family_vectorized() {
-    local family="$1"; shift
-    local args=("$@")
-    local fdir="$workdir/family_$family"
-    echo "-- family: $family (vectorized vs reference) --"
-    python -m repro campaign run --family "$family" \
-        --store "$fdir/vec.jsonl" --summary "$fdir/vec_summary.jsonl" \
-        --backend vectorized "${args[@]}" > /dev/null
-    cmp "$fdir/ref_summary.jsonl" "$fdir/vec_summary.jsonl"
-}
-
 run_family_batched() {
     local family="$1"; shift
     local args=("$@")
@@ -130,17 +115,14 @@ run_family_batched() {
 run_family figure1
 run_family theorem2 -n 6 -k 3
 run_family sweeps -n 5 6 -k 2 --seeds 2 --noise 0.1
-run_family_vectorized sweeps -n 5 6 -k 2 --seeds 2 --noise 0.1
 run_family_batched sweeps -n 5 6 -k 2 --seeds 2 --noise 0.1
 run_family termination -n 5 6 --seeds 2
-run_family_vectorized termination -n 5 6 --seeds 2
 run_family_batched termination -n 5 6 --seeds 2
 run_family ablation -n 5 -k 2 --seeds 2
 run_family duality -n 6 --density 0.1 0.3 --seeds 2
 run_family eventual -n 5 --bad-rounds 0 2 --seeds 1
 run_family_batched eventual -n 5 --bad-rounds 0 2 --seeds 1
 run_family latency -n 5 6 --seeds 2 --noise 0.1
-run_family_vectorized latency -n 5 6 --seeds 2 --noise 0.1
 run_family_batched latency -n 5 6 --seeds 2 --noise 0.1
 echo "all families ran as campaigns (summaries backend-identical): OK"
 
@@ -161,23 +143,23 @@ cmp "$workdir/het_ref_summary.jsonl" "$workdir/het_sched_summary.jsonl"
 echo "scheduler-planned parallel run byte-matches serial reference: OK"
 
 echo
-echo "== cross-n packing + work stealing: mixed-n packed leg (--jobs 4) =="
+echo "== cross-n packing: mixed-n packed leg (--jobs 4) =="
 # A mixed-n grid (n=4..7 share one round bucket) runs as one padded
-# tensor program under --pack-widths, split and stolen across four
-# workers — journal records and summary must byte-match the serial
-# unpacked (PR-5 style) batched run.
+# tensor program under --pack-widths, cut across four workers —
+# journal records and summary must byte-match the serial unpacked
+# batched run.
 pack_grid=(-n 4 5 6 7 -k 2 --seeds 3 --noise 0.0 0.3)
 python -m repro campaign run "${pack_grid[@]}" --backend batched \
     --store "$workdir/pack_serial.jsonl" \
     --summary "$workdir/pack_serial_summary.jsonl" > /dev/null
 python -m repro campaign run "${pack_grid[@]}" --backend batched \
-    --pack-widths --steal --jobs 4 \
-    --store "$workdir/pack_stolen.jsonl" \
-    --summary "$workdir/pack_stolen_summary.jsonl" > /dev/null
-cmp "$workdir/pack_serial_summary.jsonl" "$workdir/pack_stolen_summary.jsonl"
+    --pack-widths --jobs 4 \
+    --store "$workdir/pack_jobs4.jsonl" \
+    --summary "$workdir/pack_jobs4_summary.jsonl" > /dev/null
+cmp "$workdir/pack_serial_summary.jsonl" "$workdir/pack_jobs4_summary.jsonl"
 diff <(sort "$workdir/pack_serial.jsonl") \
-     <(sort "$workdir/pack_stolen.jsonl")
-echo "packed+stolen journal bytes match serial unpacked: OK"
+     <(sort "$workdir/pack_jobs4.jsonl")
+echo "packed --jobs 4 journal bytes match serial unpacked: OK"
 
 echo
 echo "== store-native aggregation: percentile table from the journal =="

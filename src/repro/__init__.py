@@ -53,7 +53,6 @@ from repro.engine import (
     agreement_grid,
     execute_scenario,
     execute_scenario_batch,
-    execute_scenario_vectorized,
     execute_scenario_with_backend,
     execute_scenarios,
     family_campaign,
@@ -83,7 +82,6 @@ from repro.rounds import (
     Run,
     SimulationConfig,
     simulate,
-    simulate_fastpath,
     simulate_fastpath_batch,
 )
 from repro.skeleton import SkeletonTracker
@@ -102,7 +100,6 @@ __all__ = [
     "FastPathRun",
     "FastPathTask",
     "FastPathUnsupported",
-    "simulate_fastpath",
     "simulate_fastpath_batch",
     # graphs
     "DiGraph",
@@ -150,7 +147,6 @@ __all__ = [
     "agreement_grid",
     "execute_scenario",
     "execute_scenario_batch",
-    "execute_scenario_vectorized",
     "execute_scenario_with_backend",
     "execute_scenarios",
     "family_campaign",

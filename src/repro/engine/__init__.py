@@ -17,14 +17,13 @@ fleet-scale workload generator:
   deterministic regardless of worker count: every scenario is a pure
   function of its spec, and outputs are re-ordered into grid order.
 * :mod:`repro.engine.backends` — **execution backends**: the reference
-  :class:`~repro.rounds.simulator.RoundSimulator` vs the matrix fast
-  path (:mod:`repro.rounds.fastpath`), per scenario (``"vectorized"``)
-  or mega-batched across same-``n`` scenarios (``"batched"``), selected
-  via ``execute_scenarios(..., backend={"reference","vectorized",
-  "batched","auto"})``.  Metrics are identical across backends; ``auto``
-  falls back on :class:`FastPathUnsupported` and routes every
-  batch-compatible scenario through the batch scheduler's planned
-  batches.
+  :class:`~repro.rounds.simulator.RoundSimulator` vs the mega-batched
+  matrix fast path (:mod:`repro.rounds.fastpath`; a single scenario is
+  a one-lane batch), selected via ``execute_scenarios(...,
+  backend={"reference","batched","auto"})``.  Metrics are identical
+  across backends; ``auto`` falls back on :class:`FastPathUnsupported`
+  and routes every batch-compatible scenario through the batch
+  scheduler's planned batches.
 * :mod:`repro.engine.scheduler` — the **lane-compacting batch
   scheduler**: plans a whole campaign work list into packed tensor
   batches (global ``(n, round-budget bucket)`` grouping, memory-envelope
@@ -106,8 +105,8 @@ from repro.engine.aggregate import (
 from repro.engine.backends import (
     BACKENDS,
     batch_compatible,
+    execute_scenario_auto,
     execute_scenario_batch,
-    execute_scenario_vectorized,
     execute_scenario_with_backend,
     fastpath_supported,
 )
@@ -238,8 +237,8 @@ __all__ = [
     "worker_serve",
     "batch_compatible",
     "execute_scenario",
+    "execute_scenario_auto",
     "execute_scenario_batch",
-    "execute_scenario_vectorized",
     "execute_scenario_with_backend",
     "execute_scenarios",
     "family_campaign",

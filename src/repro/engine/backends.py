@@ -1,20 +1,18 @@
-"""Execution backends: reference simulator, vectorized and batched fast paths.
+"""Execution backends: the reference simulator and the batched fast path.
 
-One scenario can be executed three ways:
+One scenario can be executed two ways:
 
 * ``"reference"`` — :func:`repro.engine.executor.execute_scenario`: the
   per-object :class:`~repro.rounds.simulator.RoundSimulator`.  Supports
   everything (state histories, message recording, every algorithm).
-* ``"vectorized"`` — :func:`execute_scenario_vectorized`: the batched
-  matrix kernel in :mod:`repro.rounds.fastpath`, one scenario at a time.
-  Covers exactly the sweep/latency/distribution workloads (Algorithm 1,
-  summary metrics only) and raises :class:`FastPathUnsupported` for
-  anything else.
 * ``"batched"`` — :func:`execute_scenario_batch`: the *mega*-batched
   kernel (:func:`~repro.rounds.fastpath.simulate_fastpath_batch`): a
-  group of same-``n`` scenarios stacked into one ``(S, n, ...)`` tensor
-  program, so every ensemble round costs one set of kernel calls for the
-  whole group instead of one per scenario.  Scenario grouping happens at
+  group of scenarios stacked into one ``(S, n, ...)`` tensor program,
+  so every ensemble round costs one set of kernel calls for the whole
+  group instead of one per scenario; a single scenario runs as a
+  one-lane batch.  Covers exactly the sweep/latency/distribution
+  workloads (Algorithm 1, summary metrics only) and reports anything
+  else as a ``FastPathUnsupported`` error.  Scenario grouping happens at
   the work-list level by the batch scheduler
   (:mod:`repro.engine.scheduler`): batch-compatible specs are grouped
   *globally* by ``(n, round-budget bucket)`` and packed into planned
@@ -23,19 +21,20 @@ One scenario can be executed three ways:
   the kernel compacts live lanes as batchmates retire and refills freed
   width from the batch's pending lanes.
 * ``"auto"`` — prefer the fast path, transparently fall back to the
-  reference simulator when the scenario is out of its scope.  On a work
+  reference simulator (or the family runner) when the scenario is out
+  of its scope — one rule, :func:`execute_scenario_auto`.  On a work
   list, ``auto`` routes every batch-compatible scenario through the
   scheduler's planned batches (singletons included, so provenance tags
   stay partition-independent).
 
-All backends are *exactly equivalent* where they overlap: the fast paths
-consume bit-identical adversary schedules
+Both engines are *exactly equivalent* where they overlap: the fast path
+consumes bit-identical adversary schedules
 (:meth:`~repro.adversaries.base.Adversary.adjacency_stack`) and mirror
 Algorithm 1's update order, so the resulting metrics — and therefore the
 canonical campaign summaries — are byte-identical.
 ``tests/test_fastpath_equivalence.py`` and
 ``tests/test_batched_equivalence.py`` enforce this, and
-``scripts/smoke.sh`` diffs summaries from all backends on every change.
+``scripts/smoke.sh`` diffs summaries from every backend on every change.
 Results are tagged with the backend that produced them (journal records
 only — canonical summaries stay provenance-free so they compare equal
 across backends).  On the work-list paths (``"batched"`` and ``"auto"``)
@@ -54,7 +53,11 @@ from typing import Callable, Sequence
 from repro.analysis.stats import DecisionStats
 from repro.engine.contracts import ContractViolation, contract
 from repro.engine.contracts import get as _get_contracts
-from repro.engine.executor import ScenarioResult, execute_scenario
+from repro.engine.executor import (
+    STATUS_ERROR,
+    ScenarioResult,
+    execute_scenario,
+)
 from repro.engine.scenarios import ScenarioSpec
 from repro.graphs.matrices import root_component_count_matrix
 from repro.predicates.psrcs import Psrcs
@@ -62,20 +65,17 @@ from repro.rounds.fastpath import (
     FastPathRun,
     FastPathTask,
     FastPathUnsupported,
-    simulate_fastpath,
     simulate_fastpath_batch,
 )
 
 BACKEND_REFERENCE = "reference"
-BACKEND_VECTORIZED = "vectorized"
 BACKEND_BATCHED = "batched"
 BACKEND_AUTO = "auto"
-BACKENDS = (
-    BACKEND_REFERENCE,
-    BACKEND_VECTORIZED,
-    BACKEND_BATCHED,
-    BACKEND_AUTO,
-)
+BACKENDS = (BACKEND_REFERENCE, BACKEND_BATCHED, BACKEND_AUTO)
+
+#: Error-record prefix of a scenario the fast path does not cover — the
+#: marker ``auto`` falls back on.
+UNSUPPORTED_PREFIX = "FastPathUnsupported: "
 
 # Algorithms the fast path covers; everything else falls back/raises.
 _FASTPATH_ALGORITHMS = frozenset({"algorithm1"})
@@ -146,8 +146,9 @@ def _family_fast_result(spec: ScenarioSpec):
     stock-runner families).  A tagged family whose custom runner has no
     registered fast twin — or whose ``fast_supported`` predicate
     excludes this particular spec (e.g. the ablation family's
-    invariant-hook arm) — raises :class:`FastPathUnsupported`, so forced
-    fast backends report it and ``auto`` falls back to the family runner.
+    invariant-hook arm) — raises :class:`FastPathUnsupported`, so a forced
+    ``batched`` backend reports it and ``auto`` falls back to the family
+    runner.
     """
     name = spec.opt("family")
     if name is None:
@@ -288,54 +289,6 @@ def _fastpath_task(spec: ScenarioSpec, adversary) -> FastPathTask:
     )
 
 
-def execute_scenario_vectorized(
-    spec: ScenarioSpec, recorder=None
-) -> ScenarioResult:
-    """Run one scenario through the per-scenario matrix fast path.
-
-    Raises
-    ------
-    FastPathUnsupported
-        When the scenario is outside the fast path's scope (so ``auto``
-        can fall back *before* any work is done).  Every other exception
-        is contained into an ``"error"`` result, mirroring
-        :func:`~repro.engine.executor.execute_scenario`.
-    """
-    if not fastpath_supported(spec):
-        raise FastPathUnsupported(
-            f"algorithm {spec.algorithm!r} has no vectorized fast path"
-        )
-    builder = _family_fast_result(spec) or _stock_result
-    try:
-        adversary = spec.build_adversary()
-        task = _fastpath_task(spec, adversary)
-        fast = simulate_fastpath(
-            task.adjacency,
-            list(task.initial_values),
-            purge_window=task.purge_window,
-            prune_unreachable=task.prune_unreachable,
-            max_rounds=task.max_rounds,
-            recorder=recorder,
-        )
-        return replace(
-            builder(spec, fast, adversary), backend=BACKEND_VECTORIZED
-        )
-    except FastPathUnsupported:
-        raise
-    except ContractViolation as exc:
-        # A violated invariant must abort loudly, never become an
-        # "error" journal record a resume would treat as settled.
-        raise exc.with_context(
-            id=spec.scenario_id, seed=spec.seed, backend=BACKEND_VECTORIZED
-        ) from exc
-    except Exception as exc:  # noqa: BLE001 — isolation is the contract
-        return ScenarioResult.failure(
-            spec,
-            f"{type(exc).__name__}: {exc}",
-            backend=BACKEND_VECTORIZED,
-        )
-
-
 @contract(
     # One result per spec, in spec order, whatever fell back or failed.
     # (Mixed-n batches are legal since cross-n packing: the kernel pads
@@ -364,7 +317,7 @@ def execute_scenario_batch(
     envelope; surplus lanes refill freed width as batchmates retire)
     and ``compact`` toggles live-lane compaction — both are pure
     execution-shape knobs: results are bit-identical either way.
-    Isolation mirrors the per-scenario backends:
+    Isolation mirrors the reference backend:
 
     * a spec the fast path cannot cover, or whose adversary construction
       fails, becomes an ``"error"`` result without poisoning the batch;
@@ -384,7 +337,7 @@ def execute_scenario_batch(
         try:
             if not fastpath_supported(spec):
                 raise FastPathUnsupported(
-                    f"algorithm {spec.algorithm!r} has no vectorized fast path"
+                    f"algorithm {spec.algorithm!r} has no fast path"
                 )
             builder = _family_fast_result(spec) or _stock_result
             adversary = spec.build_adversary()
@@ -392,7 +345,7 @@ def execute_scenario_batch(
             lanes.append((pos, spec, adversary, builder))
         except FastPathUnsupported as exc:
             results[pos] = ScenarioResult.failure(
-                spec, f"FastPathUnsupported: {exc}", backend=BACKEND_BATCHED
+                spec, f"{UNSUPPORTED_PREFIX}{exc}", backend=BACKEND_BATCHED
             )
         except Exception as exc:  # noqa: BLE001 — isolation is the contract
             results[pos] = ScenarioResult.failure(
@@ -404,15 +357,22 @@ def execute_scenario_batch(
                 tasks, width=width, compact=compact, recorder=recorder
             )
         except ContractViolation as exc:
+            # A kernel-level repro names the lane by task index; add
+            # that scenario's id and seed.
+            named = {}
+            lane = exc.repro.get("lane")
+            if lane is not None:
+                _, lane_spec, _, _ = lanes[lane]
+                named = {"id": lane_spec.scenario_id, "seed": lane_spec.seed}
             raise exc.with_context(
                 backend=BACKEND_BATCHED, lanes=len(lanes), width=width,
-                compact=compact,
+                compact=compact, **named,
             ) from exc
         except Exception as exc:  # noqa: BLE001 — isolate, then retry solo
             if len(lanes) == 1:
                 pos, spec, _, _ = lanes[0]
                 prefix = (
-                    "FastPathUnsupported: "
+                    UNSUPPORTED_PREFIX
                     if isinstance(exc, FastPathUnsupported)
                     else f"{type(exc).__name__}: "
                 )
@@ -478,24 +438,18 @@ def _verify_lane_identity(
     contracts, lanes, runs, width, compact
 ) -> None:
     """Lane-compaction identity checkpoint: re-run one deterministically
-    sampled lane of a just-finished mega-batch as a *singleton* kernel
-    call (fresh adversary, so the pure schedule re-derives) and demand
-    bit-identical decisions — the live form of the batched-equivalence
-    differential suite."""
+    sampled lane of a just-finished mega-batch as a one-lane,
+    uncompacted kernel call (fresh adversary, so the pure schedule
+    re-derives) and demand bit-identical decisions — the live form of
+    the batched-equivalence differential suite."""
     digest = hashlib.sha256(
         "".join(spec.scenario_id for _, spec, _, _ in lanes).encode()
     ).hexdigest()
     lane = int(digest[:8], 16) % len(lanes)
     _pos, spec, _adversary, _builder = lanes[lane]
     batched = runs[lane]
-    adversary = spec.build_adversary()
-    task = _fastpath_task(spec, adversary)
-    solo = simulate_fastpath(
-        task.adjacency,
-        list(task.initial_values),
-        purge_window=task.purge_window,
-        prune_unreachable=task.prune_unreachable,
-        max_rounds=task.max_rounds,
+    (solo,) = simulate_fastpath_batch(
+        [_fastpath_task(spec, spec.build_adversary())], compact=False
     )
     fields = lambda run: {  # noqa: E731 — tiny local projection
         "num_rounds": run.num_rounds,
@@ -519,33 +473,52 @@ def _verify_lane_identity(
     )
 
 
+def execute_scenario_auto(
+    spec: ScenarioSpec,
+    fallback: Callable[[ScenarioSpec], ScenarioResult] = execute_scenario,
+    recorder=None,
+    result: ScenarioResult | None = None,
+) -> ScenarioResult:
+    """The ``auto`` rule, in one place: prefer the fast path, and re-run
+    the scenario on ``fallback`` (the reference simulator, or a family's
+    runner) when the fast path reports it unsupported.
+
+    ``result`` is the scenario's record from an already-run batch (the
+    scheduler's planned batches).  Without it the spec is checked with
+    :func:`batch_compatible` first — an out-of-scope spec goes straight
+    to ``fallback`` without building anything — and then runs as a
+    one-lane batch.
+    """
+    if result is None:
+        if not batch_compatible(spec):
+            return fallback(spec)
+        result = execute_scenario_batch([spec], recorder=recorder)[0]
+    if (
+        result.status == STATUS_ERROR
+        and result.error is not None
+        and result.error.startswith(UNSUPPORTED_PREFIX)
+    ):
+        return fallback(spec)
+    return result
+
+
 def execute_scenario_with_backend(
     spec: ScenarioSpec, backend: str = BACKEND_REFERENCE, recorder=None
 ) -> ScenarioResult:
     """Dispatch one scenario to a backend (the executor's worker kernel).
 
     ``"auto"`` prefers the fast path and silently falls back to the
-    reference simulator on :class:`FastPathUnsupported`.  A *forced*
-    ``"vectorized"`` or ``"batched"`` backend instead reports unsupported
-    scenarios as ``"error"`` results — an explicit choice must not
-    silently execute on a different engine.  (``"batched"`` on a single
-    scenario runs a one-lane batch: semantically the vectorized kernel,
-    tagged ``"batched"`` so provenance does not depend on grouping.)
+    reference simulator (:func:`execute_scenario_auto`).  A *forced*
+    ``"batched"`` backend instead reports unsupported scenarios as
+    ``"error"`` results — an explicit choice must not silently execute
+    on a different engine.  Either way a single scenario runs as a
+    one-lane batch, tagged ``"batched"`` so provenance does not depend
+    on grouping.
     """
     if backend == BACKEND_REFERENCE:
         return execute_scenario(spec)
-    if backend == BACKEND_VECTORIZED:
-        try:
-            return execute_scenario_vectorized(spec, recorder=recorder)
-        except FastPathUnsupported as exc:
-            return ScenarioResult.failure(
-                spec, f"FastPathUnsupported: {exc}", backend=BACKEND_VECTORIZED
-            )
     if backend == BACKEND_BATCHED:
         return execute_scenario_batch([spec], recorder=recorder)[0]
     if backend == BACKEND_AUTO:
-        try:
-            return execute_scenario_vectorized(spec, recorder=recorder)
-        except FastPathUnsupported:
-            return execute_scenario(spec)
+        return execute_scenario_auto(spec, recorder=recorder)
     raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")

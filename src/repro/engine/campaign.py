@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.analysis.reporting import format_table
+from repro.engine.backends import BACKENDS
 from repro.engine.executor import (
     STATUS_ERROR,
     STATUS_OK,
@@ -183,6 +184,15 @@ def _report_row(result: ScenarioResult) -> list:
     ]
 
 
+def _checked_backend(backend: str) -> str:
+    """``backend``, or :class:`ValueError` naming the known ones."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}"
+        )
+    return backend
+
+
 class Campaign:
     """A resumable ensemble of scenarios over one result store.
 
@@ -200,8 +210,9 @@ class Campaign:
         Default per-scenario time budget in seconds.
     backend:
         Default execution engine for :meth:`run`: ``"reference"``,
-        ``"vectorized"``, ``"batched"`` or ``"auto"`` (see
-        :mod:`repro.engine.backends`).
+        ``"batched"`` or ``"auto"`` (see :mod:`repro.engine.backends`).
+        Anything else raises :class:`ValueError` here, before any work
+        is queued.
     batch_memory:
         Per-batch memory envelope in bytes for the batched/auto
         backends (``None``: the built-in budget).  A pure packing knob
@@ -213,12 +224,6 @@ class Campaign:
         program per round bucket (see
         :func:`repro.engine.scheduler.plan_batches`).  Pure packing
         knob — journals and summaries are byte-identical either way.
-    steal:
-        Work-stealing pool mode: idle workers steal deterministic
-        halves of oversized planned batches (see
-        :func:`~repro.engine.executor.execute_scenarios`).  Pure
-        execution-shape knob — journals and summaries are
-        byte-identical either way.
     label:
         Human name for progress reporting (the experiment family name
         when the campaign was built by the registry).
@@ -239,7 +244,6 @@ class Campaign:
         backend: str = "reference",
         batch_memory: int | None = None,
         pack_widths: bool = False,
-        steal: bool = False,
         label: str | None = None,
         max_retries: int = 0,
         workers: Sequence[str] | None = None,
@@ -256,10 +260,9 @@ class Campaign:
         )
         self.jobs = jobs
         self.timeout = timeout
-        self.backend = backend
+        self.backend = _checked_backend(backend)
         self.batch_memory = batch_memory
         self.pack_widths = pack_widths
-        self.steal = steal
         self.label = label
         self.max_retries = max_retries
         self.workers = list(workers) if workers else None
@@ -359,7 +362,9 @@ class Campaign:
             self.store.recorder = rec
             rec.inc("store.resume_hits", len(self.specs) - len(todo))
 
-        resolved_backend = self.backend if backend is None else backend
+        resolved_backend = (
+            self.backend if backend is None else _checked_backend(backend)
+        )
         resolved_jobs = self.jobs if jobs is None else jobs
         # One plan serves both the progress reporter and the executor,
         # so the work list is planned exactly once and the reported
@@ -433,7 +438,6 @@ class Campaign:
                     backend=resolved_backend,
                     batch_memory=self.batch_memory,
                     pack_widths=self.pack_widths,
-                    steal=self.steal,
                     plan=plan,
                     recorder=rec if rec else None,
                     max_retries=(
@@ -523,7 +527,6 @@ def run_campaign(
     backend: str = "reference",
     batch_memory: int | None = None,
     pack_widths: bool = False,
-    steal: bool = False,
 ) -> list[ScenarioResult]:
     """One-shot convenience: run (resuming) and return grid-ordered
     results.  The workhorse behind the refactored sweeps and benchmarks."""
@@ -535,7 +538,6 @@ def run_campaign(
         backend=backend,
         batch_memory=batch_memory,
         pack_widths=pack_widths,
-        steal=steal,
     )
     campaign.run(resume=resume)
     return campaign.completed_results()

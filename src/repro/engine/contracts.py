@@ -235,12 +235,13 @@ class Contracts:
         halves: tuple,
         context: dict | None = None,
     ) -> None:
-        """Steal-split partition purity: cutting a planned batch must
-        exactly partition its lane list (order preserved, nothing
-        duplicated or dropped) while both halves keep the parent's
-        tensor width and kernel envelope.  This is the invariant that
-        keeps work stealing out of journal bytes: every lane still runs
-        its exact per-scenario program, just on a different worker."""
+        """Split partition purity: cutting a planned batch (the fleet
+        pre-split) must exactly partition its lane list (order
+        preserved, nothing duplicated or dropped) while both halves keep
+        the parent's tensor width and kernel envelope.  This is the
+        invariant that keeps the cut out of journal bytes: every lane
+        still runs its exact per-scenario program, just on a different
+        worker."""
         self.checks += 1
         rejoined = tuple(item for half in halves for item in half.items)
         same_shape = all(
@@ -252,7 +253,7 @@ class Contracts:
         )
         if rejoined != tuple(batch.items) or not same_shape:
             self._raise(
-                "executor.steal_split_partition",
+                "scheduler.split_partition",
                 "splitting a planned batch did not partition its lanes "
                 "(or changed the tensor envelope)",
                 {

@@ -12,7 +12,7 @@ all of that with one abstraction:
 Every family is a ~50-line configuration of the campaign engine, and every
 family therefore gets the engine's whole feature set for free: ``--jobs N``
 parallelism, resume-by-hash journaling, crash isolation,
-``--backend {reference,vectorized,auto}``, canonical byte-identical
+``--backend {reference,batched,auto}``, canonical byte-identical
 summaries, and store-native aggregation via :mod:`repro.engine.aggregate`.
 
 How a family plugs in
@@ -31,7 +31,8 @@ How a family plugs in
   ``ScenarioResult.extras``.
 * A family with the **stock runner** leaves its specs untagged — their
   content hashes (and therefore existing journals) are unchanged — and
-  may declare itself ``vectorizable`` to default onto the fast path.
+  may declare itself ``vectorizable`` to default onto the fast path
+  (``auto``).
 
 Families register themselves at import; :func:`load_families` imports the
 standard seven (plus the termination sweep) and is invoked lazily by every
@@ -41,6 +42,7 @@ pre-importing :mod:`repro.experiments.duality`.
 
 from __future__ import annotations
 
+import functools
 import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -96,9 +98,8 @@ class ExperimentSpec:
         ``(spec, FastPathRun, adversary) -> ScenarioResult`` builder that
         reproduces the runner's result record (metrics *and* extras,
         byte-identical) from a finished fast-path run.  Families with a
-        twin execute on the vectorized/batched backends — including the
-        mega-batched kernel, which stacks their scenarios with any other
-        compatible same-``n`` work.
+        twin execute on the batched backend — the mega-batched kernel
+        stacks their scenarios with any other compatible work.
     fast_supported:
         Optional per-spec scope predicate for the twin: ``spec -> bool``.
         A family whose twin covers only *some* of its arms (the ablation
@@ -107,7 +108,7 @@ class ExperimentSpec:
         specs raise ``FastPathUnsupported`` at the backend layer, so
         ``auto`` transparently falls back to the family runner per spec.
         Partial coverage cannot be *forced*: ``supports_backend``
-        rejects explicit vectorized/batched requests for such families.
+        rejects explicit ``batched`` requests for such families.
     aggregate:
         Store-native aggregator (``campaign report --aggregate``), or
         ``None`` for the generic latency percentile table.
@@ -148,11 +149,11 @@ class ExperimentSpec:
         """Whether a *forced* backend choice can execute this family.
 
         Partial fast-path coverage (a ``fast_supported`` predicate) is
-        an ``auto``-only affair: forcing vectorized/batched on a family
-        whose reference-only arms would come back as errors is rejected
-        up front instead.
+        an ``auto``-only affair: forcing ``batched`` on a family whose
+        reference-only arms would come back as errors is rejected up
+        front instead.
         """
-        if backend in ("vectorized", "batched"):
+        if backend == "batched":
             return self.vectorizable and (
                 self.runner is None
                 or (self.fast_result is not None and self.fast_supported is None)
@@ -258,32 +259,33 @@ def run_registered_scenario(
         from repro.engine.backends import execute_scenario_with_backend
 
         return execute_scenario_with_backend(spec, backend, recorder=recorder)
-    if family.fast_result is not None and backend != "reference":
-        # The family registered a fast-path twin of its runner: forced
-        # fast backends run it (the twin builds the runner's exact result
-        # record from a FastPathRun), and ``auto`` prefers it with the
-        # usual transparent fallback to the family runner.
-        from repro.engine.backends import (
-            FastPathUnsupported,
-            execute_scenario_vectorized,
-            execute_scenario_with_backend,
-        )
+    if backend == "batched":
+        if family.fast_result is None:
+            # A forced fast-path request must not silently execute the
+            # family's bespoke reference-only logic.
+            return ScenarioResult.failure(
+                spec,
+                f"FastPathUnsupported: family {family.name!r} runs only "
+                "on the reference backend",
+                backend=backend,
+            )
+        # The family registered a fast-path twin of its runner (it
+        # builds the runner's exact result record from a FastPathRun).
+        from repro.engine.backends import execute_scenario_batch
 
-        if backend in ("vectorized", "batched"):
-            return execute_scenario_with_backend(spec, backend, recorder=recorder)
-        try:
-            return execute_scenario_vectorized(spec, recorder=recorder)
-        except FastPathUnsupported:
-            pass
-    elif backend in ("vectorized", "batched"):
-        # A forced fast-path request must not silently execute the
-        # family's bespoke reference-only logic.
-        return ScenarioResult.failure(
-            spec,
-            f"FastPathUnsupported: family {family.name!r} runs only on "
-            "the reference backend",
-            backend=backend,
-        )
+        return execute_scenario_batch([spec], recorder=recorder)[0]
+    if backend == "auto" and family.fast_result is not None:
+        from repro.engine.backends import execute_scenario_auto
+
+        fallback = functools.partial(_run_family_runner, family)
+        return execute_scenario_auto(spec, fallback, recorder=recorder)
+    return _run_family_runner(family, spec)
+
+
+def _run_family_runner(
+    family: ExperimentSpec, spec: ScenarioSpec
+) -> ScenarioResult:
+    """A family's custom runner under the executor's isolation rules."""
     try:
         return family.runner(spec)
     except ContractViolation as exc:
@@ -307,7 +309,6 @@ def family_campaign(
     backend: str | None = None,
     batch_memory: int | None = None,
     pack_widths: bool = False,
-    steal: bool = False,
     max_retries: int = 0,
 ):
     """A :class:`~repro.engine.campaign.Campaign` over a family's grid.
@@ -330,7 +331,6 @@ def family_campaign(
         backend=resolved,
         batch_memory=batch_memory,
         pack_widths=pack_widths,
-        steal=steal,
         label=family.name,
         max_retries=max_retries,
     )
@@ -345,7 +345,6 @@ def run_family(
     backend: str | None = None,
     batch_memory: int | None = None,
     pack_widths: bool = False,
-    steal: bool = False,
     max_retries: int = 0,
 ) -> list[ScenarioResult]:
     """One-shot: run (resuming) a family campaign, return grid-ordered
@@ -359,7 +358,6 @@ def run_family(
         backend=backend,
         batch_memory=batch_memory,
         pack_widths=pack_widths,
-        steal=steal,
         max_retries=max_retries,
     )
     campaign.run()

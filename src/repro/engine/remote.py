@@ -21,7 +21,7 @@ worker over ssh with ``--connect`` back to the coordinator) is a drop-in:
   ``repro worker --connect host:port``.
 
 Protocol (coordinator → worker): ``setup`` (shipped environment —
-contracts / fault plan / device — and the metrics-collect flag), then
+contracts and fault plan — and the metrics-collect flag), then
 ``unit`` messages (a whole planned batch, or an order-chunk for plan
 singles and non-batched backends), then ``shutdown``.  Worker →
 coordinator: ``hello`` on connect, then one ``result`` or ``error`` per
@@ -39,7 +39,8 @@ construction:
   journal order) is identical to the serial single-host plan; fleet
   parallelism is recovered by pre-splitting large batches at their
   deterministic midpoints (:func:`~repro.engine.scheduler.split_planned`),
-  which preserves plan-order coverage;
+  which preserves plan-order coverage (the sampled
+  ``scheduler.split_partition`` contract checks the cuts);
 * result records are a pure function of the spec (backend provenance
   included), so *where* a unit ran never changes its bytes;
 * a :class:`ShardMerger` holds completed results back until every
@@ -94,15 +95,14 @@ from repro.engine.executor import (
 from repro.engine.faults import FAULTS_ENV
 from repro.engine.scenarios import ScenarioSpec
 from repro.engine.store import decode_result, journal_record
-from repro.rounds.array_backend import DEVICE_ENV
 
 PROTOCOL = 1
 
 #: Environment the coordinator ships to every worker at session setup so
-#: hardening drills (contracts, fault plans) and device selection behave
-#: as if the worker were a local pool process.  Keys absent on the
-#: coordinator are *removed* on the worker, keeping sessions hermetic.
-SHIPPED_ENV = (CONTRACTS_ENV, FAULTS_ENV, DEVICE_ENV)
+#: hardening drills (contracts, fault plans) behave as if the worker were
+#: a local pool process.  Keys absent on the coordinator are *removed* on
+#: the worker, keeping sessions hermetic.
+SHIPPED_ENV = (CONTRACTS_ENV, FAULTS_ENV)
 
 #: Budget for establishing each worker link at startup (dial retries /
 #: accept wait), and for the worker's hello after the socket opens.
@@ -713,7 +713,8 @@ def _plan_units(
     single-host run exactly); plan singles and other backends ship as
     contiguous order-chunks.  Large batches are pre-split at their
     deterministic midpoints until the fleet has work for every worker —
-    splits replace a unit in place, so plan-order coverage is preserved.
+    splits replace a unit in place, so plan-order coverage is preserved
+    (the sampled ``scheduler.split_partition`` contract checks the cut).
     """
     units: list[_Unit] = []
     if backend in ("batched", "auto"):
@@ -752,7 +753,13 @@ def _plan_units(
                     best, best_lanes = i, unit.batch.lanes
         if best is None:
             break
-        halves = split_planned(units[best].batch)
+        batch = units[best].batch
+        halves = split_planned(batch)
+        contracts = _get_contracts()
+        if contracts and contracts.sample("scheduler.split_partition"):
+            contracts.check_split_partition(
+                batch, halves, context={"backend": backend, "fleet": fleet}
+            )
         units[best:best + 1] = [
             _Unit(kind="batch", items=list(half.items), batch=half)
             for half in halves
@@ -1041,8 +1048,8 @@ def execute_remote(
                 work = []
                 break
             now = time.monotonic()
-            # Dispatch: one in-flight unit per worker (the remote analog
-            # of the steal-mode throttle) so slow workers never hoard.
+            # Dispatch: one in-flight unit per worker so slow workers
+            # never hoard.
             idle = [link for link in live() if link.inflight is None]
             for link in idle:
                 chosen = None

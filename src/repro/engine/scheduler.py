@@ -45,6 +45,7 @@ summaries stay byte-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -53,7 +54,9 @@ from typing import Iterable, Iterator, TextIO
 
 from repro.engine.backends import (
     BACKEND_AUTO,
+    BACKEND_REFERENCE,
     batch_compatible,
+    execute_scenario_auto,
     execute_scenario_batch,
 )
 from repro.engine.contracts import contract
@@ -164,7 +167,8 @@ def estimate_batch_bytes(n: int, max_rounds: int, lanes: int = 1) -> int:
 
 
 def can_split(batch: PlannedBatch) -> bool:
-    """Whether a planned batch is worth cutting in half for stealing."""
+    """Whether a planned batch is worth cutting in half (the fleet
+    pre-split)."""
     return batch.lanes >= 2 * MIN_SPLIT_LANES
 
 
@@ -172,8 +176,8 @@ def split_planned(batch: PlannedBatch) -> tuple[PlannedBatch, PlannedBatch]:
     """Cut a planned batch in two at the deterministic midpoint.
 
     The split point (``lanes // 2``) is a pure function of the batch —
-    and the batch is a pure function of the plan — so work stealing
-    built on this cut can never leak into journal bytes or the
+    and the batch is a pure function of the plan — so the fleet
+    pre-split built on this cut can never leak into journal bytes or the
     deterministic telemetry plane: both halves keep the parent's tensor
     width and kernel envelope, and every lane still runs its exact
     per-scenario program.
@@ -338,24 +342,21 @@ def run_planned_batch(
 
     The kernel runs ``batch.width`` concurrent lanes with compaction on,
     refilling freed width from the batch's own pending lanes.  Under
-    ``"auto"`` a lane the fast path turns out not to cover re-runs
-    through the per-scenario ``auto`` dispatch (and thus the reference
-    simulator) instead of surfacing a forced-backend error, exactly as
-    the pre-scheduler segmentation did.
+    ``"auto"`` a lane the fast path turns out not to cover re-runs on
+    the reference simulator (or its family runner) by the one ``auto``
+    rule, :func:`~repro.engine.backends.execute_scenario_auto`, instead
+    of surfacing a forced-backend error.
     """
-    from repro.engine.executor import STATUS_ERROR, _run_one
+    from repro.engine.executor import _run_one
 
     specs = [spec for _, spec in batch.items]
     results = execute_scenario_batch(
         specs, width=batch.width, compact=compact, recorder=recorder
     )
     if backend == BACKEND_AUTO:
+        fallback = functools.partial(_run_one, backend=BACKEND_REFERENCE)
         results = [
-            _run_one(spec, BACKEND_AUTO, recorder=recorder)
-            if result.status == STATUS_ERROR
-            and result.error is not None
-            and result.error.startswith("FastPathUnsupported: ")
-            else result
+            execute_scenario_auto(spec, fallback, result=result)
             for spec, result in zip(specs, results)
         ]
     return [

@@ -5,9 +5,11 @@ size, adversary, topology, noise, seed, purge window — executed on every
 execution engine the repo ships:
 
 * the reference :class:`~repro.rounds.simulator.RoundSimulator`,
-* the per-scenario vectorized fast path, and
-* the mega-batched kernel, both alone and stacked with same-``n``
-  sibling scenarios, across sampled ``(width, compact)`` configurations.
+* the fast path on the scenario alone (a one-lane, uncompacted batch —
+  the kernel the lane-identity contract re-runs), and
+* the mega-batched kernel with the case stacked among same-``n``
+  sibling scenarios, across sampled ``(width, compact)``
+  configurations.
 
 The oracle is the store's canonical record: :func:`canonical_line`
 excludes the producing backend by design, so every engine must render the
@@ -36,11 +38,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.backends import (
-    FastPathUnsupported,
-    execute_scenario_batch,
-    execute_scenario_vectorized,
-)
+from repro.engine.backends import execute_scenario_batch
 from repro.engine.executor import ScenarioResult, execute_scenario
 from repro.engine.registry import ExperimentSpec, register
 from repro.engine.scenarios import ScenarioSpec
@@ -141,10 +139,8 @@ def _run_engines(
     """Reference line + per-engine canonical lines for ``base``."""
     want = _normalize(execute_scenario(base), base)
     got: dict[str, str] = {}
-    try:
-        got["vectorized"] = _normalize(execute_scenario_vectorized(base), base)
-    except FastPathUnsupported:
-        pass
+    (solo,) = execute_scenario_batch([base], compact=False)
+    got["one-lane"] = _normalize(solo, base)
     group = [base, *siblings]
     label = f"batched[w={width},compact={compact},lanes={len(group)}]"
     batched = execute_scenario_batch(group, width=width, compact=compact)

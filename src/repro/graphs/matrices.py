@@ -118,7 +118,7 @@ def batched_transitive_closure(
     -------
     The ``(b, n, n)`` stack of reachability matrices, computed with
     ``O(log n)`` batched boolean matrix squarings — the kernel behind the
-    vectorized fast path's pruning and strong-connectivity tests.
+    batched fast path's pruning and strong-connectivity tests.
     """
     arr = np.asarray(stack, dtype=bool)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:

@@ -19,7 +19,6 @@ from repro.rounds.fastpath import (
     FastPathRun,
     FastPathTask,
     FastPathUnsupported,
-    simulate_fastpath,
     simulate_fastpath_batch,
 )
 from repro.rounds.messages import Message
@@ -38,6 +37,5 @@ __all__ = [
     "RoundSimulator",
     "SimulationConfig",
     "simulate",
-    "simulate_fastpath",
     "simulate_fastpath_batch",
 ]

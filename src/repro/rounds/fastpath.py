@@ -1,36 +1,41 @@
-"""Vectorized fast-path execution of Algorithm 1.
+"""The batched fast path: Algorithm 1 as one NumPy tensor program.
 
 The reference :class:`~repro.rounds.simulator.RoundSimulator` is exact but
 allocation-bound: every (process, round) builds a :class:`Message`, a
 received-dict and a :class:`RoundLabeledDigraph` merge — O(n · rounds)
 Python objects per run, which profiling shows dominates the campaign
-ensembles.  This module re-expresses one *whole run* as tensor algebra so
-each round costs a handful of NumPy kernel calls, independent of ``n`` at
-the Python level:
+ensembles.  :func:`simulate_fastpath_batch` re-expresses a whole *stack*
+of runs (``S`` lanes, one scenario each) as tensor algebra, so each round
+costs a handful of NumPy kernel calls for every lane at once,
+independent of ``n`` and ``S`` at the Python level:
 
-* the communication schedule is an ``(R, n, n)`` boolean adjacency tensor
+* each lane's communication schedule is an ``(R, n, n)`` boolean
+  adjacency tensor
   (:meth:`~repro.adversaries.base.Adversary.adjacency_stack`);
-* the ``n`` per-process timely sets ``PT_p`` live in one ``(n, n)`` mask,
-  updated per round by one transposed AND (equation (7));
+* the ``n`` per-process timely sets ``PT_p`` live in one ``(S, n, n)``
+  mask, updated per round by one transposed AND (equation (7));
 * the ``n`` per-process approximation graphs ``G_p`` live in one
-  ``(n, n, n)`` round-label tensor (``labels[p, i, j]`` = the label of
-  edge ``i -> j`` in ``G_p``, 0 = absent).  Lines 14–23 (reset, fresh
-  in-edges, max-merge over received graphs) become a masked maximum over
-  the sender axis; line 24 (purge) is a threshold; line 25 (prune) and
-  line 28 (strong connectivity) come from one batched transitive closure
+  ``(S, n, n, n)`` round-label tensor (``labels[s, p, i, j]`` = the
+  label of edge ``i -> j`` in ``G_p`` of lane ``s``, 0 = absent).
+  Lines 14–23 (reset, fresh in-edges, max-merge over received graphs)
+  become a masked maximum over the sender axis; line 24 (purge) is a
+  threshold; line 25 (prune) and line 28 (strong connectivity) come from
+  one batched transitive closure
   (:func:`repro.graphs.matrices.batched_transitive_closure`);
 * min-estimate propagation (line 27) and decide adoption (lines 10–13)
-  are masked reductions over the beginning-of-round estimate vector.
+  are masked reductions over the beginning-of-round estimate vectors.
 
 Equivalence with the reference simulator is a hard contract, not a
 best-effort approximation: the update order mirrors Algorithm 1's
 line-by-line semantics (including adoption from the *smallest* decided
 sender id and decided processes continuing their graph updates), and
-``tests/test_fastpath_equivalence.py`` asserts identical metrics across a
-randomized scenario grid.  Workloads that need per-round state or message
-histories (``figure1``, the lemma checkers, message-complexity analysis)
-are out of scope by design and must raise :class:`FastPathUnsupported` at
-the backend layer so callers fall back to the reference simulator.
+``tests/test_fastpath_equivalence.py`` and
+``tests/test_batched_equivalence.py`` assert identical metrics across
+randomized scenario grids.  A one-lane batch is the per-scenario fast
+path.  Workloads that need per-round state or message histories
+(``figure1``, the lemma checkers, message-complexity analysis) are out
+of scope by design and must raise :class:`FastPathUnsupported` at the
+backend layer so callers fall back to the reference simulator.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from repro.graphs.matrices import (
     batched_transitive_closure,
     prefix_intersections,
 )
-from repro.rounds.array_backend import KernelNamespace, resolve_namespace
 
 
 class FastPathUnsupported(RuntimeError):
@@ -66,14 +70,9 @@ def _get_contracts():
     return get()
 
 
-# Cap on the lines 14–23 merge intermediate; owners are chunked so the
-# buffer never exceeds roughly this many bytes (see simulate_fastpath).
-_MERGE_BUF_BYTES = 32 * 1024 * 1024
-
-
 @dataclass(frozen=True)
 class FastPathRun:
-    """The summary record of one vectorized run.
+    """The summary record of one fast-path run (one lane).
 
     Holds exactly what the sweep / latency / distribution analyses consume
     — decisions plus the executed adjacency prefix (from which every
@@ -145,7 +144,7 @@ def _as_int_estimates(values: Sequence) -> np.ndarray:
 def _normalize_schedule(adjacency, n: int, max_rounds: int | None):
     """``(provider, max_rounds)`` from a tensor or provider input.
 
-    The shared prologue of both kernels: a callable is a schedule
+    The per-lane prologue of the kernel: a callable is a schedule
     provider (``max_rounds`` required); anything else must be an
     ``(R, n, n)`` boolean tensor, wrapped into a slicing provider with
     ``max_rounds`` defaulting to (and capped by) the scheduled length.
@@ -182,237 +181,6 @@ def _closure_iterations(n: int) -> int:
     return iters
 
 
-def simulate_fastpath(
-    adjacency,
-    initial_values: Sequence[int],
-    purge_window: int | None = None,
-    prune_unreachable: bool = True,
-    stop_when_all_decided: bool = True,
-    enforce_self_delivery: bool = True,
-    max_rounds: int | None = None,
-    recorder=None,
-) -> FastPathRun:
-    """Execute Algorithm 1 with distinct-per-process tensor state.
-
-    Parameters
-    ----------
-    adjacency:
-        Either an ``(R, n, n)`` boolean tensor (``adjacency[r - 1]`` is
-        the round-``r`` communication graph) or a *schedule provider*
-        ``provider(count, start) -> (count, n, n)`` tensor for rounds
-        ``start..start + count - 1`` — exactly the signature of
-        :meth:`~repro.adversaries.base.Adversary.adjacency_stack`, so an
-        adversary's bound method can be passed directly.  With a provider
-        the schedule is pulled lazily in ~``n``-round blocks, so a run
-        that decides at ``~r_ST + 2n`` never pays for its full
-        ``max_rounds`` budget of RNG draws.
-    initial_values:
-        Proposal values ``v_p`` (must be integers — the min-reduction of
-        line 27 runs on an int64 vector).
-    purge_window, prune_unreachable:
-        Algorithm 1's design knobs, with the same semantics and defaults
-        as :class:`~repro.core.approximation.ApproximationGraph`.
-    stop_when_all_decided, enforce_self_delivery:
-        As in :class:`~repro.rounds.simulator.SimulationConfig` (grace
-        rounds are not supported — sweeps never use them).
-    max_rounds:
-        Round budget; required with a schedule provider, defaults to the
-        tensor length otherwise.
-    recorder:
-        Optional :class:`~repro.engine.telemetry.Recorder`.  Kernel
-        counters are accumulated in plain locals and flushed once at
-        (successful) return, so the disabled path costs one branch.
-    """
-    n = len(initial_values)
-    provider, max_rounds = _normalize_schedule(adjacency, n, max_rounds)
-    if max_rounds < 1:
-        raise ValueError("need at least one scheduled round")
-    if n < 1:
-        raise ValueError("need at least one process")
-    window = n if purge_window is None else purge_window
-    if window < 1:
-        raise ValueError("purge window must be >= 1")
-
-    idx = np.arange(n)
-    eye = np.eye(n, dtype=bool)
-
-    # The schedule, materialized block-wise.  ``filled`` rounds are ready;
-    # blocks are fetched ~n rounds at a time (a decision needs r > n, so
-    # the first block can never be wasted work).
-    schedule = np.zeros((max_rounds, n, n), dtype=bool)
-    filled = 0
-    block = max(n + 1, 8)
-    rng_fetches = rng_tail_fetches = rng_rounds_fetched = 0
-
-    def ensure(upto: int) -> None:
-        nonlocal filled, rng_fetches, rng_tail_fetches, rng_rounds_fetched
-        upto = min(max(upto, min(filled + block, max_rounds)), max_rounds)
-        if upto <= filled:
-            return
-        rng_fetches += 1
-        if filled > 0:
-            rng_tail_fetches += 1
-        rng_rounds_fetched += upto - filled
-        fetched = np.asarray(
-            provider(upto - filled, filled + 1), dtype=bool
-        )
-        if fetched.shape != (upto - filled, n, n):
-            raise ValueError(
-                f"schedule provider returned shape {fetched.shape}, "
-                f"expected {(upto - filled, n, n)}"
-            )
-        contracts = _get_contracts()
-        if contracts and contracts.sample("kernel.block_fetch"):
-            contracts.check_block_fetch(
-                provider, upto - filled, filled + 1, fetched,
-                context={"n": n, "kernel": "simulate_fastpath"},
-            )
-        schedule[filled:upto] = fetched
-        if enforce_self_delivery:
-            schedule[filled:upto, idx, idx] = True
-        filled = upto
-
-    # State tensors (one slot per process; see module docstring).
-    pt = np.ones((n, n), dtype=bool)  # line 1: PT_p = Π
-    est = _as_int_estimates(initial_values)  # line 2: x_p = v_p
-    labels = np.zeros((n, n, n), dtype=np.int32)  # line 3: G_p = <{p}, ∅>
-    nodes = eye.copy()
-    decided = np.zeros(n, dtype=bool)  # line 4
-    dec_round = np.zeros(n, dtype=np.int64)
-    dec_value = np.zeros(n, dtype=np.int64)
-    big = np.iinfo(np.int64).max
-
-    # The lines 14–23 merge needs a (owners, senders, n, n) intermediate;
-    # a full (n, n, n, n) buffer would grow quartically, so owners are
-    # processed in blocks that cap the buffer at ~_MERGE_BUF_BYTES (one
-    # block covers every n the experiments use; only very large n pay
-    # extra Python-level iterations).
-    owner_block = max(1, min(n, _MERGE_BUF_BYTES // max(1, 4 * n * n * n)))
-    merge_buf = np.empty((owner_block, n, n, n), dtype=np.int32)
-    num_rounds = max_rounds
-    for r in range(1, max_rounds + 1):
-        if r > filled:
-            ensure(r)
-        any_decided = bool(decided.any())
-        # Sending phase: the copies below freeze beginning-of-round state.
-        # Until the first decision, est is only written *after* its last
-        # read of the round (the min-reduction), so no copy is needed.
-        sent_est = est.copy() if any_decided else est
-
-        # Line 9 / equation (7): PT_p ∩= this round's heard-of set.
-        pt &= schedule[r - 1].T
-
-        # Lines 10–13: adopt a decision from the smallest decided sender
-        # in PT_p (argmax on a boolean row = first True = smallest id).
-        # Senders' decided flags are beginning-of-round state; nothing
-        # below this block sets ``decided`` before it is read again.
-        if any_decided:
-            adoptable = pt & decided[None, :]
-            adopt = adoptable.any(axis=1) & ~decided
-            if adopt.any():
-                first_decider = np.argmax(adoptable, axis=1)
-                est[adopt] = sent_est[first_decider[adopt]]
-                decided |= adopt
-                dec_round[adopt] = r
-                dec_value[adopt] = est[adopt]
-
-        # Lines 14–23: reset + fresh in-edges + max-merge, batched.  The
-        # masked maximum over the sender axis q realizes the per-pair
-        # max-label merge of all graphs received from PT_p; the fresh
-        # label-r in-edges (q --r--> p) dominate every older label.
-        new_labels = np.empty_like(labels)
-        for lo in range(0, n, owner_block):
-            hi = min(lo + owner_block, n)
-            buf = merge_buf[: hi - lo]
-            np.multiply(
-                pt[lo:hi, :, None, None], labels[None, :, :, :], out=buf
-            )
-            buf.max(axis=1, out=new_labels[lo:hi])
-        ps, qs = np.nonzero(pt)
-        new_labels[ps, qs, ps] = r
-        # Node union (line 18): V_p = {p} ∪ ⋃_{q ∈ PT_p} V_q.
-        new_nodes = (pt @ nodes) | eye
-
-        # Line 24 fused with the edge mask: labels re <= r - window die,
-        # the survivors are the present edges.
-        present = new_labels > max(r - window, 0)
-        new_labels *= present
-
-        # One batched closure serves both line 25 and line 28.  Pruning
-        # cannot cut a path between two kept nodes (every intermediate
-        # node of such a path reaches the owner too), so the closure of
-        # the unpruned graph restricted to kept nodes *is* the closure of
-        # the pruned graph.
-        closure = batched_transitive_closure(
-            present, reflexive=True, fixed_iterations=True
-        )
-        reaches_owner = closure[idx, :, idx] & new_nodes  # i -> p
-        if prune_unreachable:
-            # Line 25: keep exactly the nodes from which p is reachable.
-            new_nodes = reaches_owner
-            new_labels *= (
-                reaches_owner[:, :, None] & reaches_owner[:, None, :]
-            )
-
-        undecided = ~decided
-        if undecided.any():
-            # Line 27: x_p <- min over beginning-of-round estimates of PT_p.
-            # Under self-delivery PT_p always contains p (the diagonal of
-            # every scheduled graph is True and pt starts full), so the
-            # empty-PT retain-guard only matters without it.
-            candidate = np.where(pt, sent_est[None, :], big).min(axis=1)
-            if enforce_self_delivery:
-                update = undecided
-            else:
-                update = undecided & pt.any(axis=1)
-            est[update] = candidate[update]
-            # Lines 28–30: decide when r > n and G_p is strongly connected.
-            # Hub criterion: the owner p is always a node of G_p, so G_p is
-            # strongly connected iff every node of V_p both reaches p and
-            # is reached from p (i -> p -> j connects any ordered pair).
-            # Single-node graphs pass trivially.
-            if r > n:
-                reached_by_owner = closure[idx, idx, :]  # p -> j
-                mutual = reaches_owner & reached_by_owner
-                strongly_connected = (mutual | ~new_nodes).all(axis=1)
-                newly = undecided & strongly_connected
-                if newly.any():
-                    decided |= newly
-                    dec_round[newly] = r
-                    dec_value[newly] = est[newly]
-
-        labels = new_labels
-        nodes = new_nodes
-        if stop_when_all_decided and decided.all():
-            num_rounds = r
-            break
-
-    if recorder:
-        # Deterministic plane: pure functions of the scenario.
-        recorder.inc("kernel.lanes")
-        recorder.inc("kernel.lane_rounds", num_rounds)
-        recorder.observe("kernel.lane_rounds", num_rounds)
-        recorder.inc("kernel.decisions", int(decided.sum()))
-        recorder.inc("kernel.rng_fetches", rng_fetches)
-        recorder.inc("kernel.rng_tail_fetches", rng_tail_fetches)
-        recorder.inc("kernel.rng_rounds_fetched", rng_rounds_fetched)
-        # Volatile plane: one loop iteration == one closure call here.
-        recorder.vinc("kernel.loop_rounds", num_rounds)
-        recorder.vinc("kernel.closure_calls", num_rounds)
-        recorder.vinc(
-            "kernel.closure_iterations", num_rounds * _closure_iterations(n)
-        )
-    return FastPathRun(
-        n=n,
-        num_rounds=num_rounds,
-        initial_values=tuple(int(v) for v in initial_values),
-        decided=decided,
-        decision_round=dec_round,
-        decision_value=dec_value,
-        adjacency=schedule[:num_rounds],
-    )
-
-
 # ----------------------------------------------------------------------
 # Mega-batching: many same-n scenarios through one tensor program
 # ----------------------------------------------------------------------
@@ -427,10 +195,22 @@ _MAX_BATCH = 64
 class FastPathTask:
     """One lane of a mega-batched fast-path execution.
 
-    Mirrors the per-lane parameters of :func:`simulate_fastpath`:
-    ``adjacency`` is an ``(R, n, n)`` tensor or a schedule provider
-    (an adversary's bound ``adjacency_stack``), the design knobs have the
-    same semantics and defaults.  Lanes may differ in **everything**,
+    ``adjacency`` is either an ``(R, n, n)`` boolean tensor
+    (``adjacency[r - 1]`` is the round-``r`` communication graph) or a
+    *schedule provider* ``provider(count, start) -> (count, n, n)`` for
+    rounds ``start..start + count - 1`` — exactly the signature of
+    :meth:`~repro.adversaries.base.Adversary.adjacency_stack`, so an
+    adversary's bound method can be passed directly; the schedule is
+    then pulled lazily in blocks, so a run that decides at
+    ``~r_ST + 2n`` never pays for its full ``max_rounds`` budget of RNG
+    draws.  ``initial_values`` are the proposals ``v_p`` (integers: the
+    min-reduction of line 27 runs on int64).  ``purge_window`` and
+    ``prune_unreachable`` are Algorithm 1's design knobs, with the same
+    semantics and defaults as
+    :class:`~repro.core.approximation.ApproximationGraph`.
+    ``max_rounds`` is the round budget: required with a provider,
+    defaulting to the tensor length otherwise.  Lanes may differ in
+    **everything**,
     including ``n``: smaller-``n`` lanes are padded to the batch's widest
     lane (cross-``n`` packing), with the padded rows/cols masked out of
     every commit point so each lane's result is bit-identical to its
@@ -494,24 +274,22 @@ def simulate_fastpath_batch(
     width: int | None = None,
     compact: bool = True,
     recorder=None,
-    namespace=None,
 ) -> list[FastPathRun]:
     """Execute a whole stack of Algorithm 1 runs at once.
 
-    The batched twin of :func:`simulate_fastpath`: the live lanes share
-    every kernel call, so one ensemble round costs one batched BLAS
-    closure and a handful of ``(S, n, ...)`` reductions instead of ``S``
-    separate sets of kernel launches — this is what amortizes the
-    per-round call overhead that caps the per-scenario fast path's
-    small-``n`` speedup.
+    The live lanes share every kernel call, so one ensemble round costs
+    one batched BLAS closure and a handful of ``(S, n, ...)`` reductions
+    instead of ``S`` separate sets of kernel launches — this is what
+    amortizes the per-round Python call overhead at small ``n``.  A
+    one-lane batch is the per-scenario fast path.
 
-    Semantics are *exactly* :func:`simulate_fastpath` per lane:
+    Every lane runs its exact standalone program:
 
-    * every lane pulls its own schedule through its own provider (same
-      block-fetch contract, so RNG streams are bit-identical to a
-      per-scenario run — providers must be pure functions of
-      ``(count, start)``, which :meth:`Adversary.adjacency_stack`
-      guarantees);
+    * every lane pulls its own schedule through its own provider (the
+      same block-fetch contract whatever its batchmates, so RNG streams
+      are bit-identical to a one-lane run — providers must be pure
+      functions of ``(count, start)``, which
+      :meth:`Adversary.adjacency_stack` guarantees);
     * lanes that terminate early (everyone decided, or the lane's own
       ``max_rounds`` budget ran out) retire: their results are harvested
       immediately and — with ``compact`` on — the surviving lanes are
@@ -531,16 +309,6 @@ def simulate_fastpath_batch(
       block fetches (block sizes derive from the lane's own ``n``, so
       each lane's ``(count, start)`` stream is untouched by packing).
 
-    The tensor core is expressed through the Python Array API standard
-    via a :class:`~repro.rounds.array_backend.KernelNamespace`
-    (``namespace`` accepts a namespace object or a device string; the
-    default resolves the ``REPRO_DEVICE`` environment variable and falls
-    back to NumPy).  On NumPy the host/device transfer seams are
-    identity functions and the kernel is byte-identical to the pre-port
-    code; on CuPy/torch the closure/label tensors live on the device and
-    only the per-lane bookkeeping (round clocks, RNG fetches, harvest)
-    touches the host.
-
     ``width`` caps the *concurrent* lane count: the first ``width`` tasks
     are admitted up front and the rest queue, refilling freed width as
     lanes retire (each late-admitted lane runs its own round clock — a
@@ -552,17 +320,22 @@ def simulate_fastpath_batch(
     has fully retired — so the concurrent lane count (and therefore the
     memory envelope) never exceeds ``width`` in either mode.
 
+    ``stop_when_all_decided`` and ``enforce_self_delivery`` are as in
+    :class:`~repro.rounds.simulator.SimulationConfig` (grace rounds are
+    not supported — sweeps never use them).  ``recorder`` is an optional
+    :class:`~repro.engine.telemetry.Recorder`: kernel counters
+    accumulate in plain locals and flush once at (successful) return,
+    so the disabled path costs one branch.
+
     Returns one :class:`FastPathRun` per task, in task order, each
-    bit-identical to what ``simulate_fastpath`` would have produced for
-    that lane alone — the differential suite
+    bit-identical to what a one-lane batch would have produced for that
+    lane alone — the differential suite
     (``tests/test_batched_equivalence.py``) enforces this across the
     randomized scenario grid, every batch partition, compaction on/off
     and every ``width``.
     """
     if not tasks:
         return []
-    ns = resolve_namespace(namespace)
-    xp = ns.xp
     T = len(tasks)
     # Per-task parameters, resolved up front (admission can happen
     # mid-run; validation errors must surface before any lane executes).
@@ -596,9 +369,8 @@ def simulate_fastpath_batch(
 
     width_limit = T if width is None else max(1, int(width))
     idx = np.arange(n)
-    eye = xp.eye(n, dtype=xp.bool)
-    big = int(np.iinfo(np.int64).max)
-    big0 = xp.asarray(big, dtype=xp.int64)
+    eye = np.eye(n, dtype=bool)
+    big = np.iinfo(np.int64).max
 
     def stack_est(task_ids) -> np.ndarray:
         """Per-lane initial estimates, padded to width ``n`` with +inf
@@ -621,9 +393,7 @@ def simulate_fastpath_batch(
     # Lane state, axis 0 = lane.  ``origin`` maps a lane back to its
     # task; ``offset`` is the global round at which the lane was admitted
     # (its local round clock is ``r - offset``), so late-admitted lanes
-    # run the exact per-lane program of simulate_fastpath.  Bookkeeping
-    # vectors stay host NumPy; the heavy tensors live in the active
-    # namespace (identical objects on the NumPy default).
+    # run the exact per-lane program of a one-lane batch.
     S = min(T, width_limit)
     origin = np.arange(S, dtype=np.int64)
     offset = np.zeros(S, dtype=np.int64)
@@ -632,17 +402,17 @@ def simulate_fastpath_batch(
     prune = t_prune[:S].copy()
     ln = t_n[:S].copy()  # per-lane nominal n (<= padded width n)
     filled = np.zeros(S, dtype=np.int64)
-    schedule = xp.zeros((S, int(mr.max()), n, n), dtype=xp.bool)
-    pt = xp.ones((S, n, n), dtype=xp.bool)
-    est = ns.from_host(stack_est(range(S)))
-    labels = xp.zeros((S, n, n, n), dtype=xp.int32)
-    nodes = xp.asarray(xp.broadcast_to(eye, (S, n, n)), copy=True)
-    decided = xp.zeros((S, n), dtype=xp.bool)
-    dec_round = xp.zeros((S, n), dtype=xp.int64)
-    dec_value = xp.zeros((S, n), dtype=xp.int64)
+    schedule = np.zeros((S, int(mr.max()), n, n), dtype=bool)
+    pt = np.ones((S, n, n), dtype=bool)
+    est = stack_est(range(S))
+    labels = np.zeros((S, n, n, n), dtype=np.int32)
+    nodes = np.broadcast_to(eye, (S, n, n)).copy()
+    decided = np.zeros((S, n), dtype=bool)
+    dec_round = np.zeros((S, n), dtype=np.int64)
+    dec_value = np.zeros((S, n), dtype=np.int64)
     active = np.ones(S, dtype=bool)
     next_task = S
-    new_labels = xp.empty_like(labels)
+    new_labels = np.empty_like(labels)
     # Until the first mid-run admission every lane shares the global
     # clock (offset 0), and the per-round schedule gather degrades to
     # the plain slice view of the uniform-clock kernel — the common
@@ -651,9 +421,9 @@ def simulate_fastpath_batch(
     # Lane-composition invariants, recomputed only when lanes change.
     prune_all = bool(prune.all())
     prune_any = bool(prune.any())
-    lane_ok = idx[None, :] < ln[:, None]  # host (S, n): real owner slots
+    lane_ok = idx[None, :] < ln[:, None]  # (S, n): real owner slots
     has_padding = bool((ln < n).any())
-    pad_dev = ns.from_host(~lane_ok) if has_padding else None
+    pad = ~lane_ok if has_padding else None
 
     def ensure(targets: np.ndarray, lanes: np.ndarray) -> None:
         """Fetch each lane's schedule up to its local target round.
@@ -697,16 +467,18 @@ def simulate_fastpath_batch(
                 contracts.check_block_fetch(
                     t_provider[int(origin[s])], upto - have, have + 1,
                     fetched,
+                    # The task index, not the live slot ``s``: slots
+                    # shift under compaction and refill.
                     context={
                         "n": lane_n,
-                        "lane": int(s),
+                        "lane": int(origin[s]),
                         "kernel": "simulate_fastpath_batch",
                     },
                 )
             # Padded rows/cols (>= lane_n) stay False: the round-1 PT
             # intersection then removes every padded sender before any
             # commit point reads it.
-            schedule[s, have:upto, :lane_n, :lane_n] = ns.from_host(fetched)
+            schedule[s, have:upto, :lane_n, :lane_n] = fetched
             if enforce_self_delivery:
                 d = idx[:lane_n]
                 schedule[s, have:upto, d, d] = True
@@ -720,12 +492,10 @@ def simulate_fastpath_batch(
             initial_values=tuple(
                 int(v) for v in tasks[int(origin[s])].initial_values
             ),
-            decided=ns.to_host(decided[s])[:lane_n].copy(),
-            decision_round=ns.to_host(dec_round[s])[:lane_n].copy(),
-            decision_value=ns.to_host(dec_value[s])[:lane_n].copy(),
-            adjacency=ns.to_host(schedule[s, :local_round])[
-                :, :lane_n, :lane_n
-            ].copy(),
+            decided=decided[s, :lane_n].copy(),
+            decision_round=dec_round[s, :lane_n].copy(),
+            decision_value=dec_value[s, :lane_n].copy(),
+            adjacency=schedule[s, :local_round, :lane_n, :lane_n].copy(),
         )
 
     r = 0
@@ -736,11 +506,11 @@ def simulate_fastpath_batch(
         need = active & (filled < r_loc)
         if need.any():
             ensure(r_loc, need)
-        act = ns.from_host(active)[:, None]
+        act = active[:, None]
         # Sending phase: freeze beginning-of-round estimates for every
-        # lane (cheap at (S, n); the per-scenario copy-elision would need
-        # a per-lane branch).
-        sent_est = xp.asarray(est, copy=True)
+        # lane (cheap at (S, n); eliding the copy until the first
+        # decision would need a per-lane branch).
+        sent_est = est.copy()
 
         # Line 9 / equation (7), all lanes at once.  Retired lanes not
         # yet compacted away have stale clocks; clamp their row index —
@@ -750,46 +520,58 @@ def simulate_fastpath_batch(
             sched_now = schedule[np.arange(S), rows]
         else:
             sched_now = schedule[:, r - 1]
-        pt &= xp.permute_dims(sched_now, (0, 2, 1))
+        pt &= sched_now.transpose(0, 2, 1)
 
-        # Lines 10-13: adopt from the smallest decided sender in PT_p.
-        if bool(xp.any(decided)):
+        # Lines 10-13: adopt from the smallest decided sender in PT_p
+        # (argmax on a boolean row = first True = smallest id).
+        if decided.any():
             adoptable = pt & decided[:, None, :]
-            adopt = xp.any(adoptable, axis=2) & ~decided & act
-            if bool(xp.any(adopt)):
-                first_decider = xp.argmax(
-                    xp.astype(adoptable, xp.int8), axis=2
-                )
-                adopted = xp.take_along_axis(sent_est, first_decider, axis=1)
-                rl_mat = ns.from_host(np.broadcast_to(r_loc[:, None], (S, n)))
+            adopt = adoptable.any(axis=2) & ~decided & act
+            if adopt.any():
+                first_decider = np.argmax(adoptable, axis=2)
+                adopted = np.take_along_axis(sent_est, first_decider, axis=1)
+                rl_mat = np.broadcast_to(r_loc[:, None], (S, n))
                 est[adopt] = adopted[adopt]
                 decided |= adopt
                 dec_round[adopt] = rl_mat[adopt]
                 dec_value[adopt] = est[adopt]
 
         # Lines 14-23: reset + fresh in-edges + max-merge over senders.
-        # The namespace's masked sender-max never materializes the full
-        # (S, n, n, n, n) product intermediate (NumPy runs the fused
-        # where-reduce into ``new_labels``; devices chunk it), which
+        # The fused where-reduce over a broadcast view never
+        # materializes the (S, n, n, n, n) product intermediate, which
         # halves the traffic of the batch's one O(n^4)-per-lane kernel.
-        new_labels = ns.masked_sender_max(labels, pt, new_labels)
-        ss, ps, qs = xp.nonzero(pt)
-        new_labels[ss, ps, qs, ps] = ns.from_host(r_loc)[ss]
-        new_nodes = ns.bool_matmul(pt, nodes) | eye
+        # The masked maximum over the sender axis q realizes the
+        # per-pair max-label merge of all graphs received from PT_p; the
+        # fresh label-r in-edges (q --r--> p) dominate every older label.
+        np.maximum.reduce(
+            np.broadcast_to(labels[:, None], (S, n, n, n, n)),
+            axis=2,
+            where=pt[:, :, :, None, None],
+            initial=0,
+            out=new_labels,
+        )
+        ss, ps, qs = np.nonzero(pt)
+        new_labels[ss, ps, qs, ps] = r_loc[ss]
+        # Node union (line 18): V_p = {p} ∪ ⋃_{q ∈ PT_p} V_q.
+        new_nodes = (pt @ nodes) | eye
 
         # Line 24: purge, with per-lane windows on per-lane clocks.
-        purge_floor = ns.from_host(np.maximum(r_loc - window, 0))
+        purge_floor = np.maximum(r_loc - window, 0)
         present = new_labels > purge_floor[:, None, None, None]
         new_labels *= present
 
         # Lines 25 + 28 from one batched closure over all S·n graphs.
-        closure = xp.reshape(
-            ns.batched_closure(xp.reshape(present, (S * n, n, n))),
-            (S, n, n, n),
-        )
+        # Pruning cannot cut a path between two kept nodes (every
+        # intermediate node of such a path reaches the owner too), so
+        # the closure of the unpruned graph restricted to kept nodes
+        # *is* the closure of the pruned graph.
+        closure = batched_transitive_closure(
+            present.reshape(S * n, n, n), reflexive=True,
+            fixed_iterations=True,
+        ).reshape(S, n, n, n)
         # [s, p, i] — i reaches the owner p in G_p of lane s.
         reaches_owner = (
-            xp.moveaxis(closure[:, idx, :, idx], 0, 1) & new_nodes
+            np.moveaxis(closure[:, idx, :, idx], 0, 1) & new_nodes
         )
         if prune_all:
             new_nodes = reaches_owner
@@ -800,35 +582,38 @@ def simulate_fastpath_batch(
             keep = (
                 reaches_owner[:, :, :, None] & reaches_owner[:, :, None, :]
             )
-            lane = ns.from_host(prune)[:, None, None]
-            new_nodes = xp.where(lane, reaches_owner, new_nodes)
-            new_labels *= xp.where(
-                lane[..., None], keep, xp.ones((), dtype=xp.bool)
-            )
+            lane = prune[:, None, None]
+            new_nodes = np.where(lane, reaches_owner, new_nodes)
+            new_labels *= np.where(lane[..., None], keep, True)
 
         undecided = ~decided
         # Line 27: min over beginning-of-round estimates of PT_p.
-        candidate = xp.min(xp.where(pt, sent_est[:, None, :], big0), axis=2)
+        # Under self-delivery PT_p always contains p, so the empty-PT
+        # retain-guard only matters without it.
+        candidate = np.where(pt, sent_est[:, None, :], big).min(axis=2)
         if enforce_self_delivery:
             update = undecided & act
         else:
-            update = undecided & act & xp.any(pt, axis=2)
+            update = undecided & act & pt.any(axis=2)
         est[update] = candidate[update]
         # Lines 28-30: hub-criterion decide once the lane's *own* clock
         # passes its *own* n — packed narrow lanes become eligible
         # before the padded width would, late-admitted lanes later.
+        # Hub criterion: the owner p is always a node of G_p, so G_p is
+        # strongly connected iff every node of V_p both reaches p and is
+        # reached from p (i -> p -> j connects any ordered pair).
         elig = r_loc > ln
-        if bool(elig.any()):
+        if elig.any():
             reached_by_owner = closure[:, idx, idx, :]  # [s, p, j]: p -> j
             mutual = reaches_owner & reached_by_owner
-            strongly_connected = xp.all(mutual | ~new_nodes, axis=2)
+            strongly_connected = (mutual | ~new_nodes).all(axis=2)
             newly = undecided & strongly_connected & act
-            if has_padding or not bool(elig.all()):
+            if has_padding or not elig.all():
                 # Gate out ineligible lanes and padded owner slots
                 # (their trivial {p} components would "decide").
-                newly &= ns.from_host(elig[:, None] & lane_ok)
-            if bool(xp.any(newly)):
-                rl_mat = ns.from_host(np.broadcast_to(r_loc[:, None], (S, n)))
+                newly &= elig[:, None] & lane_ok
+            if newly.any():
+                rl_mat = np.broadcast_to(r_loc[:, None], (S, n))
                 decided |= newly
                 dec_round[newly] = rl_mat[newly]
                 dec_value[newly] = est[newly]
@@ -840,8 +625,8 @@ def simulate_fastpath_batch(
         # Padded owner slots never decide, so completion ignores them.
         retire = np.zeros(S, dtype=bool)
         if stop_when_all_decided:
-            done = decided | pad_dev if has_padding else decided
-            retire |= active & ns.to_host(xp.all(done, axis=1))
+            done = decided | pad if has_padding else decided
+            retire |= active & done.all(axis=1)
         retire |= active & (r_loc >= mr)
         if retire.any():
             for s in np.nonzero(retire)[0]:
@@ -862,7 +647,6 @@ def simulate_fastpath_batch(
             lanes_changed = True
             compactions += 1
             keep = active
-            keep_dev = ns.from_host(keep)
             origin = origin[keep]
             offset = offset[keep]
             mr = mr[keep]
@@ -870,14 +654,14 @@ def simulate_fastpath_batch(
             prune = prune[keep]
             ln = ln[keep]
             filled = filled[keep]
-            schedule = schedule[keep_dev]
-            pt = pt[keep_dev]
-            est = est[keep_dev]
-            labels = labels[keep_dev]
-            nodes = nodes[keep_dev]
-            decided = decided[keep_dev]
-            dec_round = dec_round[keep_dev]
-            dec_value = dec_value[keep_dev]
+            schedule = schedule[keep]
+            pt = pt[keep]
+            est = est[keep]
+            labels = labels[keep]
+            nodes = nodes[keep]
+            decided = decided[keep]
+            dec_round = dec_round[keep]
+            dec_value = dec_value[keep]
             active = active[keep]
             live = origin.size
         # Admission: with compaction on, refill freed width mid-run;
@@ -892,11 +676,9 @@ def simulate_fastpath_batch(
             next_task += take
             rmax = int(t_mr[admitted].max())
             if origin.size == 0:
-                schedule = xp.zeros((0, rmax, n, n), dtype=xp.bool)
+                schedule = np.zeros((0, rmax, n, n), dtype=bool)
             elif schedule.shape[1] < rmax:
-                grown = xp.zeros(
-                    (origin.size, rmax, n, n), dtype=xp.bool
-                )
+                grown = np.zeros((origin.size, rmax, n, n), dtype=bool)
                 grown[:, : schedule.shape[1]] = schedule
                 schedule = grown
             else:
@@ -913,38 +695,35 @@ def simulate_fastpath_batch(
             filled = np.concatenate(
                 [filled, np.zeros(take, dtype=np.int64)]
             )
-            schedule = xp.concat(
-                [schedule, xp.zeros((take, rmax, n, n), dtype=xp.bool)]
+            schedule = np.concatenate(
+                [schedule, np.zeros((take, rmax, n, n), dtype=bool)]
             )
-            pt = xp.concat([pt, xp.ones((take, n, n), dtype=xp.bool)])
-            est = xp.concat([est, ns.from_host(stack_est(admitted))])
-            labels = xp.concat(
-                [labels, xp.zeros((take, n, n, n), dtype=xp.int32)]
+            pt = np.concatenate([pt, np.ones((take, n, n), dtype=bool)])
+            est = np.concatenate([est, stack_est(admitted)])
+            labels = np.concatenate(
+                [labels, np.zeros((take, n, n, n), dtype=np.int32)]
             )
-            nodes = xp.concat(
-                [
-                    nodes,
-                    xp.asarray(xp.broadcast_to(eye, (take, n, n)), copy=True),
-                ]
+            nodes = np.concatenate(
+                [nodes, np.broadcast_to(eye, (take, n, n))]
             )
-            decided = xp.concat(
-                [decided, xp.zeros((take, n), dtype=xp.bool)]
+            decided = np.concatenate(
+                [decided, np.zeros((take, n), dtype=bool)]
             )
-            dec_round = xp.concat(
-                [dec_round, xp.zeros((take, n), dtype=xp.int64)]
+            dec_round = np.concatenate(
+                [dec_round, np.zeros((take, n), dtype=np.int64)]
             )
-            dec_value = xp.concat(
-                [dec_value, xp.zeros((take, n), dtype=xp.int64)]
+            dec_value = np.concatenate(
+                [dec_value, np.zeros((take, n), dtype=np.int64)]
             )
             active = np.concatenate([active, np.ones(take, dtype=bool)])
         if lanes_changed:
             if new_labels.shape != labels.shape:
-                new_labels = xp.empty_like(labels)
+                new_labels = np.empty_like(labels)
             prune_all = bool(prune.all())
             prune_any = bool(prune.any())
             lane_ok = idx[None, :] < ln[:, None]
             has_padding = bool((ln < n).any())
-            pad_dev = ns.from_host(~lane_ok) if has_padding else None
+            pad = ~lane_ok if has_padding else None
 
     if recorder:
         # Deterministic plane: per-lane quantities, invariant across

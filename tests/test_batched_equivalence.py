@@ -1,16 +1,17 @@
-"""Differential testing: the mega-batched backend vs vectorized vs reference.
+"""Differential testing: the mega-batched backend vs the reference simulator.
 
-The batched backend is the third execution engine for Algorithm 1
+The batched backend is the fast execution engine for Algorithm 1
 scenarios, and its correctness rests entirely on *exact* equivalence with
-the other two: same decision rounds, same decision values, same skeleton
-statistics, same canonical JSON line — for every scenario, under every
-batch partition, at every worker count.  This suite pins that down three
-ways:
+the reference simulator: same decision rounds, same decision values, same
+skeleton statistics, same canonical JSON line — for every scenario, under
+every batch partition, at every worker count.  This suite pins that down
+three ways:
 
 * a **randomized differential grid** over ``n = 2..12`` × the four core
   adversary families (grouped, crash, partition, static) × noise /
-  topology / ablation knobs, asserting canonical-line equality across all
-  three backends (singleton and grouped batches);
+  topology / ablation knobs, asserting canonical-line equality across
+  the ``reference``, ``batched`` and ``auto`` backends (one-lane and
+  grouped batches);
 * a **batching-invariance property**: for a fixed seed set, the results
   — including the journaled record bytes — are identical whatever the
   batch partition (sizes 1, 2, S, shuffled groupings) and identical
@@ -27,7 +28,7 @@ ways:
   ``--jobs {1, 2, 4}``.
 
 ``scripts/smoke.sh`` additionally byte-compares whole campaign summaries
-produced by the three backends through the CLI on every change.
+produced by the backends through the CLI on every change.
 """
 
 from __future__ import annotations
@@ -42,10 +43,8 @@ from repro.engine.backends import (
     BACKEND_AUTO,
     BACKEND_BATCHED,
     BACKEND_REFERENCE,
-    BACKEND_VECTORIZED,
     batch_compatible,
     execute_scenario_batch,
-    execute_scenario_vectorized,
     execute_scenario_with_backend,
 )
 from repro.engine.campaign import Campaign
@@ -56,7 +55,6 @@ from repro.engine.store import canonical_line, decode_result, journal_line
 from repro.rounds.fastpath import (
     FastPathTask,
     default_batch_size,
-    simulate_fastpath,
     simulate_fastpath_batch,
 )
 
@@ -127,7 +125,7 @@ DIFFERENTIAL_GRID = _differential_grid()
 
 
 class TestDifferentialGrid:
-    """reference ≡ vectorized ≡ batched, scenario by scenario."""
+    """reference ≡ batched ≡ auto, scenario by scenario."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -136,16 +134,15 @@ class TestDifferentialGrid:
     )
     def test_three_backends_agree(self, spec):
         reference = execute_scenario(spec)
-        vectorized = execute_scenario_vectorized(spec)
         batched = execute_scenario_with_backend(spec, BACKEND_BATCHED)
+        auto = execute_scenario_with_backend(spec, BACKEND_AUTO)
         assert reference.status == "ok", reference.error
-        assert vectorized.status == "ok", vectorized.error
         assert batched.status == "ok", batched.error
         # One line covers every metric field and the decision values.
         line = canonical_line(reference)
-        assert canonical_line(vectorized) == line
         assert canonical_line(batched) == line
-        assert batched.backend == BACKEND_BATCHED
+        assert canonical_line(auto) == line
+        assert batched.backend == auto.backend == BACKEND_BATCHED
 
     def test_grouped_batches_match_reference(self):
         # The same grid, but batched the way the executor would batch it:
@@ -203,6 +200,13 @@ def _tasks(specs):
     return tasks
 
 
+def _solo(task):
+    """The task as a one-lane, uncompacted batch — the per-scenario fast
+    path every lane of a wider batch must reproduce bit for bit."""
+    (run,) = simulate_fastpath_batch([task], compact=False)
+    return run
+
+
 def _run_key(run):
     return (
         run.n,
@@ -219,12 +223,7 @@ class TestBatchingInvariance:
 
     def test_kernel_partition_invariance(self):
         specs = [s for s in FIXED_SPECS if s.n == 7]
-        singles = [
-            simulate_fastpath(
-                t.adjacency, list(t.initial_values), max_rounds=t.max_rounds
-            )
-            for t in _tasks(specs)
-        ]
+        singles = [_solo(t) for t in _tasks(specs)]
         expected = [_run_key(r) for r in singles]
         # Partitions: singletons, pairs, the whole set.
         for size in (1, 2, len(specs)):
@@ -287,7 +286,7 @@ class TestBatchingInvariance:
 
     def test_campaign_summaries_byte_identical_across_backends(self, tmp_path):
         payloads = {}
-        for backend in (BACKEND_REFERENCE, BACKEND_VECTORIZED, BACKEND_BATCHED):
+        for backend in (BACKEND_REFERENCE, BACKEND_AUTO, BACKEND_BATCHED):
             campaign = Campaign(
                 FIXED_SPECS,
                 store=tmp_path / f"journal_{backend}.jsonl",
@@ -298,7 +297,7 @@ class TestBatchingInvariance:
             summary = tmp_path / f"summary_{backend}.jsonl"
             campaign.write_summary(summary)
             payloads[backend] = summary.read_bytes()
-        assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_VECTORIZED]
+        assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_AUTO]
         assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_BATCHED]
 
     def test_resume_across_batched_and_reference(self, tmp_path):
@@ -528,12 +527,7 @@ class TestCompactionEquivalence:
 
     def test_kernel_compaction_width_refill_equivalence(self):
         specs = [s for s in HETERO_GRID if s.n == 9]
-        singles = [
-            simulate_fastpath(
-                t.adjacency, list(t.initial_values), max_rounds=t.max_rounds
-            )
-            for t in _tasks(specs)
-        ]
+        singles = [_solo(t) for t in _tasks(specs)]
         expected = [_run_key(r) for r in singles]
         for kwargs in (
             {"compact": False},
@@ -563,12 +557,7 @@ class TestCompactionEquivalence:
             return real(stack, **kwargs)
 
         monkeypatch.setattr(fastpath, "batched_transitive_closure", spy)
-        singles = [
-            simulate_fastpath(
-                t.adjacency, list(t.initial_values), max_rounds=t.max_rounds
-            )
-            for t in _tasks(specs)
-        ]
+        singles = [_solo(t) for t in _tasks(specs)]
         peak = 0
         runs = simulate_fastpath_batch(
             _tasks(specs), width=3, compact=compact
@@ -581,10 +570,10 @@ class TestCompactionEquivalence:
     )
     def test_three_backends_agree_on_hetero_grid(self, spec):
         line = canonical_line(execute_scenario(spec))
-        assert canonical_line(execute_scenario_vectorized(spec)) == line
-        assert canonical_line(
-            execute_scenario_with_backend(spec, BACKEND_BATCHED)
-        ) == line
+        for backend in (BACKEND_BATCHED, BACKEND_AUTO):
+            assert canonical_line(
+                execute_scenario_with_backend(spec, backend)
+            ) == line
 
     def test_journal_bytes_invariant_under_compaction_and_shuffle(self):
         serial = execute_scenarios(HETERO_GRID, backend=BACKEND_BATCHED)
@@ -616,7 +605,7 @@ class TestCompactionEquivalence:
 
     def test_hetero_summaries_byte_identical_across_backends(self, tmp_path):
         payloads = {}
-        for backend in (BACKEND_REFERENCE, BACKEND_VECTORIZED, BACKEND_BATCHED):
+        for backend in (BACKEND_REFERENCE, BACKEND_AUTO, BACKEND_BATCHED):
             campaign = Campaign(
                 HETERO_GRID,
                 store=tmp_path / f"journal_{backend}.jsonl",
@@ -627,7 +616,7 @@ class TestCompactionEquivalence:
             summary = tmp_path / f"summary_{backend}.jsonl"
             campaign.write_summary(summary)
             payloads[backend] = summary.read_bytes()
-        assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_VECTORIZED]
+        assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_AUTO]
         assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_BATCHED]
 
     def test_tiny_batch_memory_envelope_keeps_journal_bytes(self, tmp_path):
@@ -737,13 +726,11 @@ class TestFamilyBatched:
         )
 
     def test_partial_coverage_family_rejects_forced_fast_backends(self):
-        # Partial fast-path coverage is auto-only: forcing batched or
-        # vectorized on the ablation family is rejected up front (its
-        # reference-only arms would come back as error records).
+        # Partial fast-path coverage is auto-only: forcing batched on the
+        # ablation family is rejected up front (its reference-only arms
+        # would come back as error records).
         with pytest.raises(ValueError, match="does not support"):
             family_campaign("ablation", backend=BACKEND_BATCHED)
-        with pytest.raises(ValueError, match="does not support"):
-            family_campaign("ablation", backend=BACKEND_VECTORIZED)
 
 
 # ----------------------------------------------------------------------
@@ -769,7 +756,7 @@ class TestStaticAdversary:
 
 
 # ----------------------------------------------------------------------
-# Cross-n packing, work stealing, and the Array-API namespace
+# Cross-n packing
 # ----------------------------------------------------------------------
 MIXED_N_SPECS = [
     ScenarioSpec(n=n, k=2, num_groups=2, seed=s, noise=0.2)
@@ -782,12 +769,7 @@ class TestCrossWidthPacking:
     """Mixed-n grids through one padded tensor program: bit-identical."""
 
     def test_packed_kernel_matches_singletons(self):
-        singles = [
-            simulate_fastpath(
-                t.adjacency, list(t.initial_values), max_rounds=t.max_rounds
-            )
-            for t in _tasks(MIXED_N_SPECS)
-        ]
+        singles = [_solo(t) for t in _tasks(MIXED_N_SPECS)]
         expected = [_run_key(r) for r in singles]
         # Full-width mixed batch, a narrow refilling window, and the
         # narrow window without compaction: padding must be invisible.
@@ -803,37 +785,34 @@ class TestCrossWidthPacking:
             assert result.status == "ok", result.error
             line = canonical_line(result)
             assert line == canonical_line(execute_scenario(spec))
-            assert line == canonical_line(execute_scenario_vectorized(spec))
+            assert line == canonical_line(execute_scenario_batch([spec])[0])
 
-    def test_journal_bytes_invariant_under_pack_steal_jobs_compaction(self):
+    def test_journal_bytes_invariant_under_pack_jobs_compaction(self):
         expected = [
             journal_line(r)
             for r in execute_scenarios(MIXED_N_SPECS, backend=BACKEND_BATCHED)
         ]
         combos = [
-            # (pack, steal, jobs, compact) — every axis of the product
-            # is exercised against the serial unpacked baseline.
-            (True, False, 1, True),
-            (True, False, 1, False),
-            (False, False, 2, True),
-            (True, False, 2, True),
-            (False, True, 2, True),
-            (True, True, 2, True),
-            (True, True, 2, False),
-            (False, True, 4, True),
-            (True, True, 4, True),
+            # (pack, jobs, compact) — every axis of the product is
+            # exercised against the serial unpacked baseline.
+            (True, 1, True),
+            (True, 1, False),
+            (False, 2, True),
+            (True, 2, True),
+            (True, 2, False),
+            (False, 4, True),
+            (True, 4, True),
         ]
-        for pack, steal, jobs, compact in combos:
+        for pack, jobs, compact in combos:
             results = execute_scenarios(
                 MIXED_N_SPECS,
                 jobs=jobs,
                 backend=BACKEND_BATCHED,
                 pack_widths=pack,
-                steal=steal,
                 compact=compact,
             )
             assert [journal_line(r) for r in results] == expected, (
-                pack, steal, jobs, compact,
+                pack, jobs, compact,
             )
 
     def test_packed_deterministic_plane_matches_unpacked_kernel_work(self):
@@ -867,7 +846,6 @@ class TestCrossWidthPacking:
                 jobs=2,
                 backend=BACKEND_BATCHED,
                 pack_widths=pack,
-                steal=pack,
             )
             report = campaign.run()
             assert report.errors == 0 and report.timeouts == 0
@@ -878,32 +856,6 @@ class TestCrossWidthPacking:
                 summary.read_bytes(),
             )
         assert blobs[False] == blobs[True]
-
-
-class TestArrayNamespaceSubstitution:
-    """The kernel runs unchanged on a strict Array-API namespace."""
-
-    def test_strict_namespace_bit_identical(self):
-        expected = [
-            _run_key(r) for r in simulate_fastpath_batch(_tasks(MIXED_N_SPECS))
-        ]
-        for kwargs in ({}, {"width": 4}, {"compact": False}):
-            runs = simulate_fastpath_batch(
-                _tasks(MIXED_N_SPECS), namespace="strict", **kwargs
-            )
-            assert [_run_key(r) for r in runs] == expected, kwargs
-
-    def test_env_device_reaches_the_executor(self, monkeypatch):
-        specs = MIXED_N_SPECS[:8]
-        expected = [
-            journal_line(r)
-            for r in execute_scenarios(specs, backend=BACKEND_BATCHED)
-        ]
-        monkeypatch.setenv("REPRO_DEVICE", "strict")
-        results = execute_scenarios(
-            specs, backend=BACKEND_BATCHED, pack_widths=True
-        )
-        assert [journal_line(r) for r in results] == expected
 
 
 class TestSkeletonCache:

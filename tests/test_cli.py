@@ -94,9 +94,44 @@ class TestCommands:
 
     def test_family_backend_rejected_for_custom_runner(self, capsys):
         code = main(["ablation", "-n", "5", "-k", "2", "--seeds", "1",
-                     "--backend", "vectorized"])
+                     "--backend", "batched"])
         assert code == 2
         assert "does not support backend" in capsys.readouterr().out
+
+    def test_removed_vectorized_backend_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "run", "-n", "5", "-k", "2", "--seeds", "1",
+                  "--backend", "vectorized"])
+        assert info.value.code == 2
+        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["campaign", "run"], ["sweep"]])
+    def test_backend_choices_are_the_live_engines(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--backend {reference,batched,auto}" in out
+        assert "--steal" not in out and "--device" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "run", "--store", "j.jsonl", "--steal"],
+            ["campaign", "run", "--store", "j.jsonl", "--device", "numpy"],
+            ["sweep", "-n", "5", "--steal"],
+            ["sweep", "-n", "5", "--device", "numpy"],
+            ["campaign", "serve", "--device", "numpy"],
+        ],
+        ids=["run-steal", "run-device", "sugar-steal", "sugar-device",
+             "serve-device"],
+    )
+    def test_removed_engine_options_exit_2(self, capsys, argv):
+        # Parsing fails before anything runs or binds a port.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCampaignCommands:

@@ -16,7 +16,7 @@ from repro.engine.contracts import (
 )
 from repro.engine.backends import (
     execute_scenario_batch,
-    execute_scenario_vectorized,
+    execute_scenario_with_backend,
 )
 from repro.engine.campaign import Campaign
 from repro.engine.scenarios import (
@@ -225,10 +225,10 @@ def _spec(seed=0, n=6, **kw):
     return ScenarioSpec(n=n, k=2, num_groups=2, seed=seed, noise=0.1, **kw)
 
 
-def test_vectorized_run_clean_under_contracts():
+def test_single_scenario_auto_run_clean_under_contracts():
     with contracts_enabled() as active:
-        result = execute_scenario_vectorized(_spec())
-        assert result.ok
+        result = execute_scenario_with_backend(_spec(), "auto")
+        assert result.ok and result.backend == "batched"
         assert active.checks > 0
 
 
@@ -239,6 +239,30 @@ def test_batch_run_clean_under_contracts():
         assert [r.ok for r in results] == [True, True, True]
         # The lane-identity checkpoint sampled at least the first batch.
         assert active.checks > 0
+
+
+def test_lane_identity_reruns_the_sampled_lane_as_a_one_lane_batch():
+    from repro.engine.backends import _fastpath_task, _verify_lane_identity
+    from repro.rounds.fastpath import simulate_fastpath_batch
+
+    specs = [_spec(seed=s) for s in range(2)]
+    lanes = [(i, s, s.build_adversary(), None) for i, s in enumerate(specs)]
+    runs = simulate_fastpath_batch(
+        [_fastpath_task(s, adv) for _, s, adv, _ in lanes]
+    )
+    # The two lanes decide at different rounds, so swapping them is a
+    # divergence the one-lane re-run must catch.
+    assert runs[0].num_rounds != runs[1].num_rounds
+    active = Contracts()
+    _verify_lane_identity(active, lanes, runs, width=2, compact=True)
+    assert active.checks == 1 and active.violations == 0
+    with pytest.raises(ContractViolation) as info:
+        _verify_lane_identity(
+            active, lanes, runs[::-1], width=2, compact=True
+        )
+    assert info.value.contract == "backends.lane_identity"
+    lane = info.value.repro["lane"]
+    assert info.value.repro["id"] == specs[lane].scenario_id
 
 
 def test_plan_batches_verified_under_contracts():
@@ -277,13 +301,19 @@ def test_impure_adversary_caught_by_block_fetch_contract():
     register_adversary("_impure_test", lambda spec: ImpureAdversary(spec.n))
     try:
         spec = ScenarioSpec(n=4, k=1, adversary="_impure_test")
-        with contracts_enabled():
+        # Two clean lanes fill the width-2 kernel, so the impure task
+        # (index 2) is admitted by refill into a live slot (0 or 1).
+        specs = [_spec(seed=0, n=4), _spec(seed=1, n=4), spec]
+        with contracts_enabled() as active:
+            active.sample_every = 1
             with pytest.raises(ContractViolation) as info:
-                execute_scenario_vectorized(spec)
+                execute_scenario_batch(specs, width=2)
         assert info.value.contract == "adversary.block_fetch_purity"
-        # The repro names the spec and backend for reproduction.
-        assert info.value.repro.get("backend") == "vectorized"
+        # The repro names the task, its spec and the backend.
+        assert info.value.repro.get("lane") == 2
+        assert info.value.repro.get("backend") == "batched"
         assert info.value.repro.get("id") == spec.scenario_id
+        assert info.value.repro.get("seed") == spec.seed
     finally:
         ADVERSARIES.pop("_impure_test", None)
 
@@ -354,7 +384,7 @@ def test_cli_campaign_run_contracts_flag(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Steal-split partition purity
+# Split partition purity (the fleet pre-split)
 # ----------------------------------------------------------------------
 def _planned_batch(lanes=16, n=6):
     specs = [
@@ -381,11 +411,11 @@ def test_split_partition_rejects_dropped_or_reordered_lanes():
     active = Contracts()
     batch = _planned_batch()
     first, second = split_planned(batch)
-    with pytest.raises(ContractViolation, match="steal_split_partition"):
+    with pytest.raises(ContractViolation, match="scheduler.split_partition"):
         active.check_split_partition(batch, (first, replace(
             second, items=second.items[:-1]
         )))
-    with pytest.raises(ContractViolation, match="steal_split_partition"):
+    with pytest.raises(ContractViolation, match="scheduler.split_partition"):
         active.check_split_partition(batch, (second, first))
 
 
@@ -398,10 +428,27 @@ def test_split_partition_rejects_a_changed_envelope():
     batch = _planned_batch()
     first, second = split_planned(batch)
     shrunk = replace(first, width=max(1, first.width - 1))
-    with pytest.raises(ContractViolation, match="steal_split_partition"):
+    with pytest.raises(ContractViolation, match="scheduler.split_partition"):
         active.check_split_partition(batch, (shrunk, second))
 
 
 def test_null_contracts_split_partition_is_inert():
     batch = _planned_batch()
     assert NO_CONTRACTS.check_split_partition(batch, ()) is None
+
+
+def test_fleet_presplit_is_partition_checked():
+    from repro.engine.remote import _plan_units
+
+    specs = [
+        ScenarioSpec(n=6, k=2, num_groups=2, seed=s) for s in range(32)
+    ]
+    with contracts_enabled() as active:
+        units = _plan_units(
+            list(enumerate(specs)), "batched", None, False, None, None,
+            fleet=4, recorder=None,
+        )
+        assert len(units) >= 4
+        # The first cut is always sampled, and none of them raised.
+        assert active._counts.get("scheduler.split_partition", 0) >= 1
+        assert active.violations == 0

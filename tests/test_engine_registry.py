@@ -8,6 +8,8 @@ aggregator — reproduces their output exactly, not approximately."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ class TestRegistryBasics:
         assert result.status == "error"
         assert "unknown experiment family" in result.error
 
-    def test_forced_vectorized_on_custom_runner_family_errors(self):
+    def test_forced_batched_on_custom_runner_family_errors(self):
         # The ablation grid mixes fast-path-covered arms (non-hooked
         # variants, which a forced fast backend *can* run via the twin)
         # with reference-only arms (the invariant-hook arm), which must
@@ -81,13 +83,13 @@ class TestRegistryBasics:
             and not s.opt("min_over_all")
         )
         hooked = next(s for s in grid if s.opt("hooks", True))
-        ok = run_registered_scenario(covered, "vectorized")
-        assert ok.status == "ok" and ok.backend == "vectorized"
-        result = run_registered_scenario(hooked, "vectorized")
+        ok = run_registered_scenario(covered, "batched")
+        assert ok.status == "ok" and ok.backend == "batched"
+        result = run_registered_scenario(hooked, "batched")
         assert result.status == "error"
         assert "FastPathUnsupported" in result.error
         with pytest.raises(ValueError, match="does not support backend"):
-            family_campaign("ablation", backend="vectorized")
+            family_campaign("ablation", backend="batched")
 
 
 class TestFigure1Family:
@@ -355,6 +357,64 @@ class TestResumeMidFamily:
         c2.write_summary(tmp_path / "s2.jsonl")
         assert (tmp_path / "s1.jsonl").read_bytes() == \
             (tmp_path / "s2.jsonl").read_bytes()
+
+
+#: One small grid per registered family (the smoke-script grids).
+SMALL_GRIDS = {
+    "figure1": {},
+    "theorem2": {"n": [6], "k": [3]},
+    "sweeps": {"n": [5, 6], "k": [2], "seeds": 2, "noise": [0.1]},
+    "termination": {"n": [5, 6], "seeds": 2},
+    "ablation": {"n": [5], "k": [2], "seeds": 1},
+    "duality": {"n": [6], "density": [0.1, 0.3], "seeds": 2},
+    "eventual": {"n": [5], "bad_rounds": [0, 2], "seeds": 1},
+    "latency": {"n": [5, 6], "seeds": 2, "noise": [0.1]},
+    "fuzz": {"seeds": 4},
+}
+
+
+class TestAutoAcrossFamilies:
+    """``auto`` is the fast path with the reference fallback: whatever the
+    family, it journals only the two live engine tags."""
+
+    def test_small_grids_cover_every_family(self):
+        assert set(SMALL_GRIDS) == set(family_names())
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
+    def test_auto_journals_only_live_backend_tags(self, name, tmp_path):
+        store = tmp_path / "auto.jsonl"
+        campaign = family_campaign(
+            name, SMALL_GRIDS[name], store=store, backend="auto"
+        )
+        report = campaign.run()
+        assert report.errors == 0 and report.executed == report.total
+        tags = {
+            decode_result(json.loads(line)).backend
+            for line in store.read_text().splitlines()
+        }
+        assert tags and tags <= {"reference", "batched"}, tags
+
+    @pytest.mark.parametrize(
+        "name", sorted(
+            name for name in SMALL_GRIDS
+            if get_family(name).supports_backend("batched")
+        )
+    )
+    def test_auto_summary_matches_batched(self, name, tmp_path):
+        summaries = []
+        for backend in ("auto", "batched"):
+            campaign = family_campaign(
+                name,
+                SMALL_GRIDS[name],
+                store=tmp_path / f"{backend}.jsonl",
+                backend=backend,
+            )
+            campaign.run()
+            campaign.write_summary(tmp_path / f"{backend}_summary.jsonl")
+            summaries.append(
+                (tmp_path / f"{backend}_summary.jsonl").read_bytes()
+            )
+        assert summaries[0] == summaries[1]
 
 
 class TestExtrasCodec:

@@ -17,17 +17,25 @@ from worker_harness import worker_fleet
 
 from repro.engine import faults as _faults
 from repro.engine.campaign import Campaign
+from repro.engine.contracts import contracts_enabled
+from repro.engine.executor import execute_scenarios
 from repro.engine.faults import FaultPlan
 from repro.engine.remote import (
     RemoteWorkerError,
     ShardMerger,
     WorkerEndpoint,
+    _plan_units,
     absorb_shards,
     execute_remote,
     parse_workers,
     shard_paths,
 )
-from repro.engine.scenarios import ScenarioGrid
+from repro.engine.scenarios import ScenarioGrid, ScenarioSpec
+from repro.engine.scheduler import (
+    MIN_SPLIT_LANES,
+    plan_batches,
+    run_planned_batch,
+)
 from repro.engine.store import ResultStore, journal_line
 from repro.engine.telemetry import Recorder
 
@@ -143,6 +151,63 @@ class TestCoordinatorErrors:
     def test_no_endpoints_raises(self):
         with pytest.raises(ValueError):
             execute_remote(small_grid().expand(), [])
+
+
+# ----------------------------------------------------------------------
+# The fleet pre-split — planning only, no subprocess.
+# ----------------------------------------------------------------------
+
+
+class TestFleetPresplit:
+    """The coordinator cuts large planned batches at their deterministic
+    midpoints until every worker of the fleet has a unit."""
+
+    SPECS = [
+        ScenarioSpec(n=6, k=2, num_groups=2, seed=s, noise=0.2)
+        for s in range(32)
+    ]
+
+    @staticmethod
+    def _units(specs, backend="batched", fleet=4):
+        return _plan_units(
+            list(enumerate(specs)), backend, None, False, None, None,
+            fleet=fleet, recorder=None,
+        )
+
+    def test_presplit_fills_an_underplanned_fleet(self):
+        # One 32-lane batch, four workers: 32 -> 16+16 -> 8+8+16 -> 8*4.
+        assert len(plan_batches(list(enumerate(self.SPECS))).batches) == 1
+        units = self._units(self.SPECS)
+        assert [u.kind for u in units] == ["batch"] * 4
+        assert [u.batch.lanes for u in units] == [8, 8, 8, 8]
+        # Splits replace a unit in place: plan order is preserved.
+        assert [item for u in units for item in u.items] == list(
+            enumerate(self.SPECS)
+        )
+
+    def test_presplit_stops_at_the_minimum_split(self):
+        units = self._units(self.SPECS, fleet=64)
+        assert len(units) == 32 // MIN_SPLIT_LANES
+        assert all(u.batch.lanes >= MIN_SPLIT_LANES for u in units)
+
+    def test_presplit_units_keep_serial_journal_bytes(self):
+        serial = execute_scenarios(self.SPECS, backend="batched")
+        pieces = []
+        for unit in self._units(self.SPECS):
+            pieces.extend(run_planned_batch(unit.batch, "batched"))
+        assert [index for index, _ in pieces] == list(range(len(self.SPECS)))
+        assert [journal_line(r) for _, r in pieces] == [
+            journal_line(r) for r in serial
+        ]
+
+    def test_presplit_is_noop_for_unbatched_backends(self):
+        with contracts_enabled() as active:
+            units = self._units(self.SPECS, backend="reference")
+            assert all(u.kind == "chunk" for u in units)
+            assert [item for u in units for item in u.items] == list(
+                enumerate(self.SPECS)
+            )
+            assert "scheduler.split_partition" not in active._counts
 
 
 # ----------------------------------------------------------------------

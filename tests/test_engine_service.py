@@ -166,8 +166,39 @@ class TestServedEquivalence:
                 })
             assert excinfo.value.code == 400
             with pytest.raises(ServiceError) as excinfo:
+                d.client.submit({
+                    "grid": GRID_B_AXES,
+                    "backend": "vectorized",
+                    "store": str(tmp_path / "x.jsonl"),
+                })
+            assert excinfo.value.code == 400
+            assert "unknown backend 'vectorized'" in str(excinfo.value)
+            with pytest.raises(ServiceError) as excinfo:
                 d.client.job("c9999")
             assert excinfo.value.code == 404
+
+    @pytest.mark.parametrize("backend", ["vectorized", "bogus"])
+    @pytest.mark.parametrize(
+        "source",
+        [{"grid": GRID_B_AXES}, {"family": "latency"}],
+        ids=["grid", "family"],
+    )
+    def test_unknown_backend_rejected_at_submission(
+        self, tmp_path, backend, source
+    ):
+        # Rejected before anything is queued, naming the known backends
+        # (the HTTP handler turns SubmissionError into a 400).
+        from repro.engine.service import (
+            SubmissionError,
+            campaign_from_submission,
+        )
+
+        payload = {**source, "backend": backend}
+        with pytest.raises(SubmissionError) as excinfo:
+            campaign_from_submission(payload, str(tmp_path / "x.jsonl"), 1)
+        message = str(excinfo.value)
+        assert f"unknown backend {backend!r}" in message
+        assert "reference, batched, auto" in message
 
 
 class TestServedRobustness:

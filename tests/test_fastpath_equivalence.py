@@ -1,10 +1,13 @@
-"""Backend equivalence: the vectorized fast path vs the reference simulator.
+"""Backend equivalence: the fast path, one scenario at a time, vs the
+reference simulator.
 
 The fast path's contract is *exactness*, not approximation: for every
 scenario it supports, all summary metrics — decision rounds, distinct
 decision values, violation flags, stabilization, Lemma-11 bounds — must
 equal the reference :class:`~repro.rounds.simulator.RoundSimulator` result
-bit for bit, which this suite asserts via the canonical JSON line (one
+bit for bit — here on one-lane batches, the per-scenario fast path; the
+mega-batch partitions are ``tests/test_batched_equivalence.py``'s job.
+This suite asserts it via the canonical JSON line (one
 comparison covering every metric field at once).  A randomized grid sweeps
 ``n ∈ 2..12``, all three registry adversary families, noise levels,
 topologies, seeds and Algorithm 1's ablation knobs.
@@ -23,9 +26,10 @@ from repro.adversaries.partition import PartitionAdversary
 from repro.adversaries.static import StaticAdversary
 from repro.engine.backends import (
     BACKEND_AUTO,
+    BACKEND_BATCHED,
     BACKEND_REFERENCE,
-    BACKEND_VECTORIZED,
-    execute_scenario_vectorized,
+    execute_scenario_auto,
+    execute_scenario_batch,
     execute_scenario_with_backend,
     fastpath_supported,
 )
@@ -34,16 +38,20 @@ from repro.engine.executor import execute_scenario, execute_scenarios
 from repro.engine.scenarios import ScenarioGrid, ScenarioSpec, termination_grid
 from repro.engine.store import canonical_line, decode_result, journal_line
 from repro.graphs.generators import to_adjacency
-from repro.rounds.fastpath import FastPathUnsupported, simulate_fastpath
+from repro.rounds.fastpath import (
+    FastPathTask,
+    FastPathUnsupported,
+    simulate_fastpath_batch,
+)
 
 
 def assert_equivalent(spec: ScenarioSpec) -> None:
     reference = execute_scenario(spec)
-    vectorized = execute_scenario_vectorized(spec)
+    (fast,) = execute_scenario_batch([spec])
     assert reference.status == "ok", reference.error
-    assert vectorized.status == "ok", vectorized.error
+    assert fast.status == "ok", fast.error
     # One line covers every metric field and the decision values.
-    assert canonical_line(reference) == canonical_line(vectorized)
+    assert canonical_line(reference) == canonical_line(fast)
 
 
 class TestScenarioEquivalence:
@@ -115,17 +123,6 @@ class TestScenarioEquivalence:
             ScenarioSpec(n=9, k=1, num_groups=1, seed=0, max_rounds=4)
         )
 
-    def test_chunked_merge_buffer_path(self, monkeypatch):
-        # Large n processes the lines-14-23 merge in owner blocks to cap
-        # the (owners, n, n, n) intermediate; force the multi-block path
-        # on a small scenario and require identical results.
-        import repro.rounds.fastpath as fastpath_module
-
-        monkeypatch.setattr(fastpath_module, "_MERGE_BUF_BYTES", 1)
-        assert_equivalent(
-            ScenarioSpec(n=7, k=2, num_groups=2, seed=4, noise=0.2)
-        )
-
 
 class TestCampaignEquivalence:
     GRID = ScenarioGrid(
@@ -139,7 +136,7 @@ class TestCampaignEquivalence:
 
     def test_summaries_byte_identical_across_backends(self, tmp_path):
         paths = {}
-        for backend in (BACKEND_REFERENCE, BACKEND_VECTORIZED):
+        for backend in (BACKEND_REFERENCE, BACKEND_BATCHED):
             campaign = Campaign(
                 self.GRID,
                 store=tmp_path / f"journal_{backend}.jsonl",
@@ -150,38 +147,96 @@ class TestCampaignEquivalence:
             summary = tmp_path / f"summary_{backend}.jsonl"
             campaign.write_summary(summary)
             paths[backend] = summary.read_bytes()
-        assert paths[BACKEND_REFERENCE] == paths[BACKEND_VECTORIZED]
+        assert paths[BACKEND_REFERENCE] == paths[BACKEND_BATCHED]
 
     def test_journal_records_tag_backend_but_summary_does_not(self, tmp_path):
         store = tmp_path / "journal.jsonl"
         campaign = Campaign(
             ScenarioGrid(n=[4], k=[2], num_groups=[2], seed=[0]),
             store=store,
-            backend=BACKEND_VECTORIZED,
+            backend=BACKEND_BATCHED,
         )
         campaign.run()
         journal_record = store.read_text().strip()
-        assert '"backend":"vectorized"' in journal_record
+        assert '"backend":"batched"' in journal_record
         summary = tmp_path / "summary.jsonl"
         campaign.write_summary(summary)
         assert '"backend"' not in summary.read_text()
         # The decoded record keeps the provenance.
-        assert campaign.completed_results()[0].backend == "vectorized"
+        assert campaign.completed_results()[0].backend == "batched"
 
     def test_resume_across_backends(self, tmp_path):
         # A journal written by one backend satisfies resume for the other
         # (content-hash ids and metrics agree), so nothing re-executes.
         store = tmp_path / "journal.jsonl"
         grid = ScenarioGrid(n=[4, 5], k=[2], num_groups=[2], seed=range(2))
-        Campaign(grid, store=store, backend=BACKEND_VECTORIZED).run()
+        Campaign(grid, store=store, backend=BACKEND_BATCHED).run()
         report = Campaign(grid, store=store, backend=BACKEND_REFERENCE).run()
         assert report.executed == 0
         assert report.skipped == report.total
 
+    #: Two records exactly as the retired ``vectorized`` backend
+    #: journaled them (before the one-lane batch replaced it).
+    VECTORIZED_JOURNAL = (
+        '{"backend":"vectorized","decision_values":[0,1],"error":null,'
+        '"id":"81212d4e42b0","metrics":{"all_decided":true,'
+        '"distinct_decisions":2,"first_decision_round":5,'
+        '"k_agreement_holds":true,"last_decision_round":5,'
+        '"lemma11_bound":9,"num_rounds":5,"psrcs_holds":true,'
+        '"root_components":2,"stabilization":2,"validity_holds":true,'
+        '"within_bound":true},"schema":1,"spec":{"adversary":"grouped",'
+        '"algorithm":"algorithm1","k":2,"max_rounds":null,"n":4,'
+        '"noise":0.2,"num_groups":2,"options":{},"seed":0,'
+        '"topology":"cycle"},"status":"ok"}\n'
+        '{"backend":"vectorized","decision_values":[0],"error":null,'
+        '"id":"255238a315a4","metrics":{"all_decided":true,'
+        '"distinct_decisions":1,"first_decision_round":6,'
+        '"k_agreement_holds":true,"last_decision_round":7,'
+        '"lemma11_bound":12,"num_rounds":7,"psrcs_holds":true,'
+        '"root_components":2,"stabilization":3,"validity_holds":true,'
+        '"within_bound":true},"schema":1,"spec":{"adversary":"grouped",'
+        '"algorithm":"algorithm1","k":2,"max_rounds":null,"n":5,'
+        '"noise":0.2,"num_groups":2,"options":{},"seed":0,'
+        '"topology":"cycle"},"status":"ok"}\n'
+    )
+
+    def test_old_vectorized_journal_still_resumes(self, tmp_path):
+        grid = ScenarioGrid(
+            n=[4, 5], k=[2], num_groups=[2], seed=[0], noise=[0.2]
+        )
+        old = tmp_path / "old.jsonl"
+        old.write_text(self.VECTORIZED_JOURNAL, encoding="utf-8")
+        campaign = Campaign(grid, store=old, backend=BACKEND_BATCHED)
+        assert {r.backend for r in campaign.completed_results()} == {
+            "vectorized"
+        }
+        report = campaign.run()
+        assert report.executed == 0 and report.skipped == 2
+        fresh = Campaign(
+            grid, store=tmp_path / "fresh.jsonl", backend=BACKEND_BATCHED
+        )
+        fresh.run()
+        campaign.write_summary(tmp_path / "old.summary")
+        fresh.write_summary(tmp_path / "fresh.summary")
+        assert (tmp_path / "old.summary").read_bytes() == (
+            tmp_path / "fresh.summary"
+        ).read_bytes()
+
+    def test_unknown_backend_rejected_before_running(self, tmp_path):
+        grid = ScenarioGrid(n=[4], k=[2], num_groups=[2], seed=[0])
+        with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
+            Campaign(grid, backend="vectorized")
+        campaign = Campaign(grid, store=tmp_path / "j.jsonl")
+        with pytest.raises(ValueError, match="known: reference, batched"):
+            campaign.run(backend="bogus")
+        assert not (tmp_path / "j.jsonl").exists() or not (
+            tmp_path / "j.jsonl"
+        ).read_text()
+
     def test_execute_scenarios_backend_parallel_matches_serial(self):
         specs = termination_grid(ns=[4, 6], seeds=range(3), noise=0.2)
-        serial = execute_scenarios(specs, jobs=1, backend=BACKEND_VECTORIZED)
-        parallel = execute_scenarios(specs, jobs=2, backend=BACKEND_VECTORIZED)
+        serial = execute_scenarios(specs, jobs=1, backend=BACKEND_BATCHED)
+        parallel = execute_scenarios(specs, jobs=2, backend=BACKEND_BATCHED)
         assert [canonical_line(r) for r in serial] == [
             canonical_line(r) for r in parallel
         ]
@@ -193,10 +248,62 @@ class TestBackendDispatch:
         options=(("f", 1),),
     )
 
-    def test_vectorized_raises_for_unsupported_algorithm(self):
+    def test_auto_skips_unsupported_before_building(self, monkeypatch):
+        # The auto rule checks batch compatibility first: an out-of-scope
+        # spec goes straight to the fallback, no adversary is built.
         assert not fastpath_supported(self.UNSUPPORTED)
-        with pytest.raises(FastPathUnsupported):
-            execute_scenario_vectorized(self.UNSUPPORTED)
+
+        def no_build(self):
+            raise AssertionError("auto built an out-of-scope adversary")
+
+        monkeypatch.setattr(ScenarioSpec, "build_adversary", no_build)
+        result = execute_scenario_auto(
+            self.UNSUPPORTED, fallback=lambda spec: "fallback"
+        )
+        assert result == "fallback"
+
+    def test_auto_keeps_a_covered_batch_record(self):
+        spec = ScenarioSpec(n=5, k=2, num_groups=2, seed=3)
+        (record,) = execute_scenario_batch([spec])
+
+        def no_fallback(spec):
+            raise AssertionError("auto re-ran a covered scenario")
+
+        assert execute_scenario_auto(
+            spec, fallback=no_fallback, result=record
+        ) is record
+
+    def test_auto_reruns_an_unsupported_batch_record(self):
+        # The scheduler's planned batches hand their records in: a
+        # ``FastPathUnsupported: `` error re-runs on the fallback.
+        (record,) = execute_scenario_batch([self.UNSUPPORTED])
+        assert record.status == "error"
+        assert record.error.startswith("FastPathUnsupported: ")
+        result = execute_scenario_auto(
+            self.UNSUPPORTED, fallback=execute_scenario, result=record
+        )
+        assert result.status == "ok" and result.backend == "reference"
+        assert canonical_line(result) == canonical_line(
+            execute_scenario(self.UNSUPPORTED)
+        )
+
+    def test_auto_keeps_other_error_records(self):
+        # Only the unsupported marker triggers the fallback; any other
+        # failure is the fast path's own verdict and is journaled as is.
+        from dataclasses import replace
+
+        spec = ScenarioSpec(n=5, k=2, num_groups=2, seed=3)
+        (record,) = execute_scenario_batch([spec])
+        failed = replace(
+            record, status="error", error="RuntimeError: lane blew up"
+        )
+
+        def no_fallback(spec):
+            raise AssertionError("auto re-ran a non-unsupported error")
+
+        assert execute_scenario_auto(
+            spec, fallback=no_fallback, result=failed
+        ) is failed
 
     def test_auto_falls_back_to_reference(self):
         result = execute_scenario_with_backend(self.UNSUPPORTED, BACKEND_AUTO)
@@ -209,16 +316,16 @@ class TestBackendDispatch:
     def test_auto_uses_fastpath_when_supported(self):
         spec = ScenarioSpec(n=5, k=2, num_groups=2, seed=1)
         result = execute_scenario_with_backend(spec, BACKEND_AUTO)
-        assert result.backend == "vectorized"
+        assert result.backend == "batched"
         assert result.status == "ok"
 
-    def test_forced_vectorized_reports_unsupported_as_error(self):
+    def test_forced_batched_reports_unsupported_as_error(self):
         result = execute_scenario_with_backend(
-            self.UNSUPPORTED, BACKEND_VECTORIZED
+            self.UNSUPPORTED, BACKEND_BATCHED
         )
         assert result.status == "error"
         assert "FastPathUnsupported" in result.error
-        assert result.backend == "vectorized"
+        assert result.backend == "batched"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -229,17 +336,18 @@ class TestBackendDispatch:
     def test_non_integer_proposals_unsupported(self):
         adv = GroupedSourceAdversary(3, num_groups=1)
         with pytest.raises(FastPathUnsupported):
-            simulate_fastpath(
-                adv.adjacency_stack, ["a", "b", "c"], max_rounds=10
+            simulate_fastpath_batch(
+                [FastPathTask(adv.adjacency_stack, ("a", "b", "c"),
+                              max_rounds=10)]
             )
 
     def test_journal_line_round_trips_backend(self):
         spec = ScenarioSpec(n=4, k=2, num_groups=2, seed=0)
-        result = execute_scenario_vectorized(spec)
+        (result,) = execute_scenario_batch([spec])
         decoded = decode_result(
             __import__("json").loads(journal_line(result))
         )
-        assert decoded.backend == "vectorized"
+        assert decoded.backend == "batched"
         assert canonical_line(decoded) == canonical_line(result)
 
 
@@ -307,9 +415,9 @@ class TestAdjacencyStack:
     @pytest.mark.parametrize("family", sorted(FACTORIES))
     def test_per_batch_blocks_match_per_scenario_blocks(self, family):
         # The mega-batched kernel pulls every lane's schedule through its
-        # own adversary, but in a *different* access pattern than the
-        # per-scenario path: lane pulls interleave and block boundaries
-        # land wherever the whole batch needs rounds.  RNG-stream
+        # own adversary, but in a *different* access pattern than a
+        # one-lane run: lane pulls interleave and block boundaries land
+        # wherever the whole batch needs rounds.  RNG-stream
         # identity must survive that — each pull is a pure function of
         # (count, start), never of pull history or other lanes' pulls.
         full_a = self.FACTORIES[family]().adjacency_stack(16)
@@ -328,12 +436,7 @@ class TestAdjacencyStack:
 
     def test_batched_kernel_observes_per_scenario_schedule(self):
         # End to end: the adjacency prefix a batched lane records equals
-        # the per-scenario kernel's, block boundaries and all.
-        from repro.rounds.fastpath import (
-            FastPathTask,
-            simulate_fastpath_batch,
-        )
-
+        # a one-lane run's, block boundaries and all.
         specs = [
             ScenarioSpec(n=6, k=2, num_groups=2, seed=s, noise=0.3)
             for s in range(4)
@@ -348,10 +451,15 @@ class TestAdjacencyStack:
         ]
         batch = simulate_fastpath_batch(tasks)
         for spec, lane in zip(specs, batch):
-            single = simulate_fastpath(
-                spec.build_adversary().adjacency_stack,
-                list(range(spec.n)),
-                max_rounds=spec.resolved_max_rounds(),
+            (single,) = simulate_fastpath_batch(
+                [
+                    FastPathTask(
+                        adjacency=spec.build_adversary().adjacency_stack,
+                        initial_values=tuple(range(spec.n)),
+                        max_rounds=spec.resolved_max_rounds(),
+                    )
+                ],
+                compact=False,
             )
             assert lane.num_rounds == single.num_rounds
             assert np.array_equal(lane.adjacency, single.adjacency)
