@@ -664,7 +664,7 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
     )
 
 
-def test_bench_fastpath_floor_guard():
+def test_bench_fastpath_floor_guard(bench_fastpath):
     """The recorded trajectory must not regress below the schema-3 floor.
 
     Reads ``median_speedup_batched`` back from BENCH_FASTPATH.json after
@@ -674,11 +674,7 @@ def test_bench_fastpath_floor_guard():
     kernel/scheduler regression from shipping inside an otherwise-green
     bench run.
     """
-    import json
-    import pathlib
-
-    path = pathlib.Path(__file__).parent / "BENCH_FASTPATH.json"
-    data = json.loads(path.read_text())
+    data = bench_fastpath
     assert data["schema"] >= 3
     recorded = data["median_speedup_batched"]
     assert recorded >= SCHEMA3_SPEEDUP_FLOOR * FLOOR_SLACK, (

@@ -1,6 +1,6 @@
-"""Legacy shim so editable installs work without the ``wheel`` package
-(this environment is offline; pip's PEP 660 path needs bdist_wheel).
-All real metadata lives in pyproject.toml."""
+"""Shim for ``python setup.py ...`` commands.  All real metadata lives in
+pyproject.toml; editable installs go through the in-tree backend
+``scripts/editable_backend.py``, which needs no ``wheel`` package."""
 
 from setuptools import setup
 

@@ -12,10 +12,13 @@ fleet-scale workload generator:
   ``n``, ``k``, group counts, noise, seed ranges and algorithm knobs into
   immutable :class:`ScenarioSpec` values with stable content-hash ids.
 * :mod:`repro.engine.executor` — a **parallel executor**
-  (:func:`execute_scenarios`) with a ``multiprocessing.Pool`` backend, a
-  serial fallback, chunked dispatch and per-chunk timeouts.  Results are
-  deterministic regardless of worker count: every scenario is a pure
-  function of its spec, and outputs are re-ordered into grid order.
+  (:func:`execute_scenarios`) with a process-pool backend, a serial
+  fallback, chunked dispatch and per-chunk timeouts, plus the one
+  dispatch loop (:func:`~repro.engine.executor.dispatch`: retry and
+  backoff, split-to-singletons, fleet deadline, stop) that the pool and
+  the remote fleet share.  Results are deterministic regardless of
+  worker count: every scenario is a pure function of its spec, and
+  outputs are re-ordered into grid order.
 * :mod:`repro.engine.backends` — **execution backends**: the reference
   :class:`~repro.rounds.simulator.RoundSimulator` vs the mega-batched
   matrix fast path (:mod:`repro.rounds.fastpath`; a single scenario is
@@ -60,8 +63,8 @@ fleet-scale workload generator:
   journal shard; a deterministic :class:`ShardMerger` releases results
   in canonical plan order so the merged journal and summary are
   byte-identical to a serial single-host run whatever the worker count,
-  completion order or mid-run worker loss, with crash requeue/backoff,
-  straggler cut-off and crash-resume via :func:`absorb_shards`
+  completion order or mid-run worker loss, with the pool's dispatch
+  loop over worker links and crash-resume via :func:`absorb_shards`
   (``campaign run --workers host1:port,host2:port``).
 * :mod:`repro.engine.campaign` — the **campaign API**
   (:class:`Campaign`), wired into the CLI as

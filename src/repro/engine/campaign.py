@@ -407,46 +407,30 @@ class Campaign:
             if on_result is not None:
                 on_result(result)
 
+        common = dict(
+            timeout=self.timeout if timeout is None else timeout,
+            on_result=journal,
+            backend=resolved_backend,
+            batch_memory=self.batch_memory,
+            pack_widths=self.pack_widths,
+            plan=plan,
+            recorder=rec if rec else None,
+            max_retries=(
+                self.max_retries if max_retries is None else max_retries
+            ),
+            should_stop=should_stop,
+        )
         with rec.span("campaign.run_s"):
             if resolved_workers:
                 from repro.engine.remote import execute_remote
 
                 results = execute_remote(
-                    todo,
-                    resolved_workers,
-                    timeout=self.timeout if timeout is None else timeout,
-                    on_result=journal,
-                    backend=resolved_backend,
-                    batch_memory=self.batch_memory,
-                    pack_widths=self.pack_widths,
-                    plan=plan,
-                    recorder=rec if rec else None,
-                    max_retries=(
-                        self.max_retries
-                        if max_retries is None
-                        else max_retries
-                    ),
-                    should_stop=should_stop,
-                    shard_base=self.store.path,
+                    todo, resolved_workers, shard_base=self.store.path,
+                    **common,
                 )
             else:
                 results = execute_scenarios(
-                    todo,
-                    jobs=resolved_jobs,
-                    timeout=self.timeout if timeout is None else timeout,
-                    on_result=journal,
-                    backend=resolved_backend,
-                    batch_memory=self.batch_memory,
-                    pack_widths=self.pack_widths,
-                    plan=plan,
-                    recorder=rec if rec else None,
-                    max_retries=(
-                        self.max_retries
-                        if max_retries is None
-                        else max_retries
-                    ),
-                    pool=pool,
-                    should_stop=should_stop,
+                    todo, jobs=resolved_jobs, pool=pool, **common
                 )
         by_status = {STATUS_OK: 0, STATUS_ERROR: 0, STATUS_TIMEOUT: 0}
         for result in results:

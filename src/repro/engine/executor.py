@@ -1,36 +1,31 @@
-"""The parallel scenario executor.
+"""The scenario executor and the one dispatch loop.
 
 :func:`execute_scenario` is a *pure function* of a :class:`ScenarioSpec`:
 every RNG in the simulation stack is derived from the spec's seed, so the
 same spec produces bit-identical metrics in any process on any worker.
-That purity is what the parallel backend leans on — results are collected
-in completion order but re-sorted into submission order, so a campaign's
+That purity is what parallel dispatch leans on — results arrive in
+completion order but return in submission order, so a campaign's
 output is deterministic regardless of ``jobs``.
 
-Backends:
+:func:`execute_scenarios` runs serially (``jobs <= 1``, no ``timeout``,
+no shared pool: a plain streaming loop, no pickling) or on a process
+pool.  Pool dispatch units are the scheduler's planned batches under the
+``batched``/``auto`` backends (so chunking cannot break a batch — see
+:mod:`repro.engine.scheduler`) and contiguous order-chunks otherwise;
+results are delivered in completion order.
 
-* serial (``jobs <= 1``) — a plain loop, no pickling, easiest to debug;
-* ``concurrent.futures.ProcessPoolExecutor`` (``jobs > 1``) — chunked
-  dispatch (each task is a contiguous slice of the grid, amortizing
-  IPC; under the ``batched``/``auto`` backends each task is instead one
-  of the scheduler's planned batches, so pool chunking cannot break a
-  batch — see :mod:`repro.engine.scheduler`), per-chunk timeouts (a
-  stuck chunk is marked ``"timeout"`` and the stragglers are killed
-  when the pool exits), and crash isolation (a scenario that raises
-  becomes a ``"error"`` result instead of poisoning the pool).
-
-Hard-killed workers (OOM killer, segfault in an extension) are detected
-without needing a ``timeout``: dispatch runs on
-``concurrent.futures.ProcessPoolExecutor``, whose broken-pool protocol
-fails every outstanding chunk with ``BrokenProcessPool`` the moment a
-worker vanishes.  Chunks that were *observed running* come back as
-terminal ``"error"`` records (one of them killed its worker); chunks
-still queued when the pool broke never executed and come back retriable,
-so a resumed campaign re-runs the innocent majority instead of skipping
-it forever.  Either way the campaign surfaces the loss and exits red
-instead of hanging.  A ``timeout`` is still available for *stragglers*
-(scenarios that run but never finish): chunks past the fleet deadline
-yield retriable ``"timeout"`` records and their workers are killed.
+The pool and the remote fleet (:mod:`repro.engine.remote`) share one
+:func:`dispatch` loop and so one failure policy.  A scenario that raises
+becomes an ``"error"`` record inside the worker.  A unit whose worker
+died while running it (OOM killer, segfault: ``BrokenProcessPool``, or a
+lost fleet link) re-runs as singletons, so only a deterministic killer
+fails; transient errors and units past the fleet deadline (``timeout``,
+for stragglers, whose workers are killed) requeue whole, with
+deterministic backoff, up to ``max_retries``.  Deterministic failures
+and units observed running when the pool broke journal terminal
+``"error"`` records; every other spent unit journals a retriable
+``"timeout"``, so a resume re-runs the innocent and the campaign exits
+red instead of hanging.
 """
 
 from __future__ import annotations
@@ -38,17 +33,15 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import pickle
+import queue
 import random
 import signal
-import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing.pool import MaybeEncodingError
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.analysis.properties import check_agreement_properties
 from repro.analysis.stats import decision_stats
@@ -268,21 +261,12 @@ def _iter_chunk(
         yield idx, _run_one(spec, backend, recorder=recorder)
 
 
-def _worker_meta(recorder: Recorder, t0: float) -> dict:
-    """The metrics envelope a collecting worker returns with its payload."""
-    return {
-        "pid": os.getpid(),
-        "busy_s": time.perf_counter() - t0,
-        "snapshot": recorder.snapshot(),
-    }
-
-
 def _split_payload(payload):
     """``(payload, meta)`` from a worker return value.
 
     Collecting workers return ``(payload, meta_dict)``; everything else
-    (legacy shape, monkeypatched test doubles, the parent's own
-    timeout/failure synthesizers) returns the bare payload.
+    (the metrics-off shape, monkeypatched test doubles) returns the bare
+    payload.
     """
     if (
         isinstance(payload, tuple)
@@ -293,28 +277,41 @@ def _split_payload(payload):
     return payload, None
 
 
+def _collecting(run: Callable, items: Sequence, collect: bool) -> Any:
+    """Run a worker entry point's body, ``run(recorder)``.
+
+    With ``collect`` the worker builds its own
+    :class:`~repro.engine.telemetry.Recorder` and returns
+    ``(payload, meta)`` — pid, busy seconds and a metrics snapshot —
+    for the parent to merge; otherwise the bare payload (so existing
+    callers and test doubles see the historical shape).
+    """
+    if not collect:
+        return run(None)
+    recorder = Recorder()
+    t0 = time.perf_counter()
+    payload = run(recorder)
+    if _faults.drop_worker_meta(items):
+        return payload
+    return payload, {
+        "pid": os.getpid(),
+        "busy_s": time.perf_counter() - t0,
+        "snapshot": recorder.snapshot(),
+    }
+
+
 def _execute_chunk(
     chunk: Sequence[IndexedSpec],
     backend: str = "reference",
     collect_metrics: bool = False,
 ) -> Any:
     """Worker entry point: run one slice of the grid (per-scenario
-    backends, and the scheduler's non-batchable singles).
-
-    With ``collect_metrics`` the worker builds its own
-    :class:`~repro.engine.telemetry.Recorder` and returns
-    ``(payload, meta)`` — pid, busy seconds and a metrics snapshot —
-    for the parent to merge; otherwise the bare payload (so existing
-    callers and test doubles see the historical shape).
-    """
-    if not collect_metrics:
-        return list(_iter_chunk(chunk, backend))
-    recorder = Recorder()
-    t0 = time.perf_counter()
-    payload = list(_iter_chunk(chunk, backend, recorder=recorder))
-    if _faults.drop_worker_meta(chunk):
-        return payload
-    return payload, _worker_meta(recorder, t0)
+    backends, the scheduler's non-batchable singles, split singletons).
+    ``collect_metrics``: see :func:`_collecting`."""
+    return _collecting(
+        lambda recorder: list(_iter_chunk(chunk, backend, recorder=recorder)),
+        chunk, collect_metrics,
+    )
 
 
 def _execute_planned(
@@ -323,27 +320,18 @@ def _execute_planned(
     compact: bool = True,
     collect_metrics: bool = False,
 ) -> Any:
-    """Worker entry point: run one whole planned batch.
-
-    The pool ships :class:`~repro.engine.scheduler.PlannedBatch` units
-    instead of order-chunks under the batched/auto backends, so pool
-    chunking can never break a batch.  ``collect_metrics`` works as in
-    :func:`_execute_chunk`.
-    """
+    """Worker entry point: run one whole planned batch, so chunking can
+    never break a batch.  ``collect_metrics``: see :func:`_collecting`."""
     from repro.engine.scheduler import run_planned_batch
 
     for _idx, spec in batch.items:
         _faults.before_scenario(spec)
-    if not collect_metrics:
-        return run_planned_batch(batch, backend, compact=compact)
-    recorder = Recorder()
-    t0 = time.perf_counter()
-    payload = run_planned_batch(
-        batch, backend, compact=compact, recorder=recorder
+    return _collecting(
+        lambda recorder: run_planned_batch(
+            batch, backend, compact=compact, recorder=recorder
+        ),
+        batch.items, collect_metrics,
     )
-    if _faults.drop_worker_meta(list(batch.items)):
-        return payload
-    return payload, _worker_meta(recorder, t0)
 
 
 def _count_result(recorder, result: ScenarioResult) -> None:
@@ -357,10 +345,6 @@ def _count_result(recorder, result: ScenarioResult) -> None:
         recorder.vinc("executor.results_error")
 
 
-def _chunked(items: Sequence[IndexedSpec], size: int) -> list[list[IndexedSpec]]:
-    return [list(items[i : i + size]) for i in range(0, len(items), size)]
-
-
 def default_chunksize(num_specs: int, jobs: int) -> int:
     """~4 chunks per worker: large enough to amortize fork+pickle, small
     enough that the pool load-balances uneven scenario costs."""
@@ -370,28 +354,10 @@ def default_chunksize(num_specs: int, jobs: int) -> int:
 _RETRY_BASE_S = 0.05
 _RETRY_CAP_S = 2.0
 
-
-def _stop_aware_sleep(
-    seconds: float,
-    should_stop: Callable[[], bool] | None,
-    slice_s: float = 0.05,
-) -> None:
-    """Sleep up to ``seconds``, waking early when ``should_stop`` flips.
-
-    The dispatch loop's idle wait covers retry-backoff windows too
-    (queued units gate on ``not_before``), so a plain ``time.sleep``
-    would stall daemon drain for the whole backoff when SIGTERM lands
-    mid-window.  Slicing the wait keeps the stop latency bounded by
-    ``slice_s`` whatever the poll interval or backoff schedule."""
-    if should_stop is None or seconds <= slice_s:
-        time.sleep(seconds)
-        return
-    deadline = time.monotonic() + seconds
-    while not should_stop():
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return
-        time.sleep(min(slice_s, remaining))
+#: The dispatcher's one idle wait: a blocking inbox read bounded by this,
+#: so stop latency (retry-backoff windows included) and the pool's
+#: running-vs-queued polling cadence are both one poll.
+POLL_S = 0.01
 
 
 def retry_delay(key: str, attempt: int) -> float:
@@ -491,10 +457,6 @@ class WorkerPool:
         """Bumped on every rebuild (see :meth:`rebuild`)."""
         return self._generation
 
-    @property
-    def closing(self) -> bool:
-        return self._closing
-
     def submit(self, fn, /, *args):
         """Submit one call to the live executor.
 
@@ -542,17 +504,388 @@ class WorkerPool:
             return 0
 
 
-def _terminal_failure(exc: BaseException, was_running: bool) -> bool:
-    """Whether a unit-level failure is deterministic (retrying would
-    fail identically).  Single source for the journal classifier
-    (:func:`failed_chunk` records) and the in-run retry gate."""
-    if isinstance(exc, BrokenProcessPool):
+#: Unit failures that recur identically on a retry, by exception type
+#: name — so a fleet worker's ``error`` reply classifies exactly like a
+#: pool future's exception.
+_TERMINAL_ERRORS = frozenset(
+    {"PicklingError", "MaybeEncodingError", "AttributeError", "TypeError"}
+)
+
+
+def _terminal_failure(kind: str, was_running: bool) -> bool:
+    """Whether a unit-level failure of exception type ``kind`` is
+    deterministic (retrying would fail identically).  A broken pool is
+    terminal only for the units observed running when it broke (one of
+    them killed its worker); units still queued never executed."""
+    if kind == "BrokenProcessPool":
         return was_running
-    return isinstance(
-        exc,
-        (pickle.PicklingError, MaybeEncodingError, AttributeError,
-         TypeError),
+    return kind in _TERMINAL_ERRORS
+
+
+@dataclass(eq=False)
+class _Unit:
+    """One dispatch unit: a whole planned batch (``batch`` set), or an
+    order-chunk of ``(index, spec)`` items — plan singles, per-scenario
+    backends and split singletons."""
+
+    items: list
+    batch: Any = None
+
+    @property
+    def kind(self) -> str:
+        return "chunk" if self.batch is None else "batch"
+
+    def key(self) -> str:
+        return self.items[0][1].scenario_id if self.items else "empty"
+
+
+def _plan_units(
+    indexed: list,
+    backend: str,
+    chunksize: int | None,
+    jobs: int,
+    plan=None,
+    batch_memory: int | None = None,
+    pack_widths: bool = False,
+    recorder=None,
+) -> list[_Unit]:
+    """The dispatch units, in plan order.  Under the batched/auto
+    backends the scheduler's whole planned batches ship (chunking must
+    not break a batch), then the plan's non-batchable singles as
+    contiguous order-chunks; other backends chunk the whole list."""
+    units: list[_Unit] = []
+    chunked = indexed
+    if backend in ("batched", "auto"):
+        if plan is None:
+            from repro.engine.scheduler import plan_batches
+
+            plan = plan_batches(
+                indexed, batch_memory=batch_memory, jobs=jobs,
+                pack_widths=pack_widths, recorder=recorder,
+            )
+        units = [_Unit(list(batch.items), batch) for batch in plan.batches]
+        chunked = list(plan.singles)
+    size = chunksize or default_chunksize(len(chunked), jobs)
+    units += [_Unit(chunked[i:i + size]) for i in range(0, len(chunked), size)]
+    return units
+
+
+class _Outcome(NamedTuple):
+    """One dispatched unit's fate, as a slot adapter reports it."""
+
+    ticket: Any
+    payload: list | None = None  # [(index, ScenarioResult)] on success
+    meta: dict | None = None  # worker busy_s + telemetry snapshot
+    worker: Any = None  # per-worker accounting key
+    error: tuple | None = None  # (exception type name, message)
+    was_running: bool = False  # observed executing when it failed
+    lost: bool = False  # the slot died with the unit on it
+
+
+def _drain(inbox) -> list:
+    """Everything in ``inbox``, blocking up to :data:`POLL_S` for the
+    first item — the dispatcher's only idle wait."""
+    items = []
+    try:
+        items.append(inbox.get(timeout=POLL_S))
+        while True:
+            items.append(inbox.get_nowait())
+    except queue.Empty:
+        return items
+
+
+def dispatch(
+    units: list[_Unit],
+    slots,
+    *,
+    backend: str,
+    timeout: float | None,
+    max_retries: int,
+    should_stop: Callable[[], bool] | None,
+    recorder,
+    deliver: Callable[[list], Any] | None,
+) -> list[ScenarioResult]:
+    """Run ``units`` on a slot adapter until every scenario has a result.
+
+    The one dispatch loop of the pool (:class:`_PoolSlots`) and the fleet
+    (:class:`repro.engine.remote._Fleet`): it owns the work queue with
+    :func:`retry_delay` backoff, the retry and split rule, the fleet
+    deadline, ``should_stop``, result counting and unit telemetry.  An
+    adapter has ``size``, ``PREFIX``/``RETRIES`` (telemetry names),
+    ``submit(unit)`` (a ticket, or ``None`` when no slot takes it),
+    ``wait(pending)`` (:class:`_Outcome` events within one
+    :func:`_drain`), ``cut(tickets)`` (kill the slots of expired units),
+    ``usable()``/``recover()`` (``None`` once recovered, else the loss)
+    and ``info(stats)`` (per-worker rows).
+
+    A multi-scenario unit whose slot died while running it re-runs as
+    singletons, so only a deterministic killer fails; other retriable
+    failures and deadline expiry requeue the whole unit; terminal
+    failures (:func:`_terminal_failure`) are not retried, and a spent
+    budget journals the failure.  Results reach ``deliver`` as each unit
+    completes and come back in index order.
+    """
+    total = sum(len(unit.items) for unit in units)
+    window = (
+        timeout * math.ceil(total / slots.size) if timeout is not None else None
     )
+    start = time.monotonic()
+    deadline = start + window if window is not None else None
+    work: list[tuple] = [(unit, 0, 0.0) for unit in units]
+    pending: dict = {}  # ticket -> (unit, attempts, submit time)
+    collected: dict[int, ScenarioResult] = {}
+    stats: dict = {}  # worker -> [units, busy_s]
+    contracts = _get_contracts()
+    # Worker snapshots in delivery order: the merge-commutativity
+    # contract re-merges them forward and backward at the end.
+    witness: list[dict] | None = [] if (contracts and recorder) else None
+
+    def release(pairs: list) -> None:
+        for idx, result in pairs:
+            if recorder:
+                _count_result(recorder, result)
+            collected[idx] = result
+        if deliver is not None:
+            deliver(pairs)
+
+    def fail(unit: _Unit, error: str, status: str = STATUS_TIMEOUT) -> None:
+        release([
+            (idx, ScenarioResult.failure(
+                spec, error, status=status, backend=backend))
+            for idx, spec in unit.items
+        ])
+
+    def requeue(unit: _Unit, attempts: int) -> None:
+        delay = retry_delay(unit.key(), attempts + 1)
+        work.append((unit, attempts + 1, time.monotonic() + delay))
+        if recorder:
+            recorder.vinc(slots.RETRIES)
+
+    def account(out: _Outcome, submit_t: float) -> None:
+        turnaround = time.monotonic() - submit_t
+        recorder.add_duration("executor.unit_wall_s", turnaround)
+        if out.meta is None:
+            return
+        if witness is not None:
+            witness.append(out.meta["snapshot"])
+        recorder.merge(out.meta["snapshot"])
+        busy = out.meta["busy_s"]
+        recorder.add_duration("executor.worker_busy_s", busy)
+        recorder.add_duration(
+            "executor.queue_wait_s", max(0.0, turnaround - busy)
+        )
+        worker = stats.setdefault(out.worker, [0, 0.0])
+        worker[0] += 1
+        worker[1] += busy
+
+    while work or pending:
+        if work and not pending and not slots.usable():
+            lost = slots.recover()
+            if lost is not None:
+                for unit, _attempts, _not_before in work:
+                    fail(unit, f"chunk failed: {lost}")
+                work = []
+                continue
+        now = time.monotonic()
+        held = []
+        for i, entry in enumerate(work):
+            if entry[2] > now:
+                held.append(entry)
+                continue
+            ticket = slots.submit(entry[0])
+            if ticket is None:
+                held.extend(work[i:])
+                break
+            pending[ticket] = (entry[0], entry[1], time.monotonic())
+        work = held
+        outcomes = list(slots.wait(pending))
+        if should_stop is not None and should_stop():
+            # Keep what completed, but a shutdown that kills the workers
+            # must not journal the units it broke.
+            for out in outcomes:
+                if out.error is None:
+                    release(out.payload)
+            raise ExecutionStopped("run interrupted by shutdown signal")
+        for out in outcomes:
+            unit, attempts, submit_t = pending.pop(out.ticket)
+            if out.error is None:
+                if recorder:
+                    account(out, submit_t)
+                release(out.payload)
+                continue
+            kind, message = out.error
+            terminal = _terminal_failure(kind, out.was_running)
+            if attempts >= max_retries or (terminal and not out.lost):
+                fail(
+                    unit, f"chunk failed: {kind}: {message}",
+                    STATUS_ERROR if terminal else STATUS_TIMEOUT,
+                )
+            elif out.lost and out.was_running and len(unit.items) > 1:
+                # The slot died without naming the guilty scenario.
+                # Safe for planned batches too: results are tagged by
+                # backend, not by grouping, so journal bytes match.
+                for item in unit.items:
+                    requeue(_Unit([item]), attempts)
+                if recorder:
+                    recorder.vinc(f"{slots.PREFIX}.singleton_splits")
+            else:
+                requeue(unit, attempts)
+        if pending and deadline is not None and time.monotonic() > deadline:
+            # Fleet deadline: every unit still out expires together and
+            # its slots are killed; with retries left it re-enters the
+            # queue under a fresh window, else it journals a timeout.
+            slots.cut(list(pending))
+            expired = list(pending.values())
+            pending.clear()
+            for unit, attempts, _submit_t in expired:
+                if attempts < max_retries:
+                    requeue(unit, attempts)
+                else:
+                    fail(unit, f"no result within {window:.1f}s")
+            if any(attempts < max_retries for _u, attempts, _t in expired):
+                deadline = time.monotonic() + window
+    if witness is not None and len(witness) > 1:
+        contracts.check_merge_commutative(
+            witness, context={"backend": backend, "workers": slots.size}
+        )
+    if recorder and stats:
+        wall = time.monotonic() - start
+        recorder.set_info(f"{slots.PREFIX}.workers", slots.info(stats))
+        if wall > 0:
+            busy_total = sum(busy for _units, busy in stats.values())
+            recorder.vgauge_max(
+                f"{slots.PREFIX}.worker_utilization_pct",
+                round(100.0 * busy_total / (slots.size * wall), 1),
+            )
+    return [collected[i] for i in range(len(collected))]
+
+
+class _PoolSlots:
+    """Dispatcher slots over a :class:`WorkerPool`.
+
+    Takes every ready unit; futures report through a done-callback
+    inbox, and running-vs-queued attribution is polled once per wait (a
+    unit whose worker dies within one poll of starting may count as
+    queued, i.e. retriable — the safe side).  A ``BrokenProcessPool``
+    marks the pool dead until its futures drain; :meth:`recover` then
+    rebuilds it (generation-aware, within a budget so a crashing
+    workload terminates).  On exit a private pool closes — terminated
+    when broken, cut or failing — and a broken shared one is rebuilt.
+    """
+
+    PREFIX = "executor"
+    RETRIES = "executor.unit_retries"
+
+    def __init__(self, pool, size, call, max_rebuilds, recorder) -> None:
+        self.owned = pool is None
+        self.pool = WorkerPool(size) if pool is None else pool
+        self.size = size
+        self.call = call
+        self.max_rebuilds = max_rebuilds
+        self.recorder = recorder
+        self.rebuilds = 0
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self.gens: dict = {}  # outstanding future -> generation at submit
+        self.running: set = set()  # futures observed executing
+        self.dead_gen: int | None = None  # generation seen broken
+        self.stragglers = False
+
+    def usable(self) -> bool:
+        return self.dead_gen is None
+
+    def submit(self, unit: _Unit):
+        if self.dead_gen is not None:
+            return None
+        gen = self.pool.generation
+        try:
+            future = self.pool.submit(*self.call(unit))
+        except (BrokenProcessPool, RuntimeError):
+            # Broken (or a shared pool closing) before this unit
+            # dispatched: it never ran and stays queued.
+            self.dead_gen = gen
+            return None
+        self.gens[future] = gen
+        future.add_done_callback(self.inbox.put)
+        return future
+
+    def wait(self, pending: dict):
+        for future in pending:
+            if future.running():
+                self.running.add(future)
+        for future in _drain(self.inbox):
+            if future not in pending:
+                continue  # cut at the deadline
+            gen = self.gens.pop(future)
+            was_running = future in self.running
+            self.running.discard(future)
+            try:
+                payload, meta = _split_payload(future.result())
+            except ContractViolation:
+                # A violated invariant aborts the run loudly — never
+                # journaled, never retried.
+                raise
+            except BaseException as exc:  # noqa: BLE001
+                lost = isinstance(exc, BrokenProcessPool)
+                if lost and self.dead_gen is None:
+                    self.dead_gen = gen
+                yield _Outcome(
+                    future, error=(type(exc).__name__, str(exc)),
+                    was_running=was_running, lost=lost,
+                )
+                continue
+            yield _Outcome(
+                future, payload, meta, worker=meta and meta["pid"]
+            )
+
+    def cut(self, futures: list) -> None:
+        for future in futures:
+            future.cancel()
+            if self.dead_gen is None:
+                self.dead_gen = self.gens[future]
+            del self.gens[future]
+        self.stragglers = True
+
+    def recover(self) -> str | None:
+        if self.rebuilds >= self.max_rebuilds:
+            return (
+                "BrokenProcessPool: worker pool broken and rebuild "
+                "budget exhausted"
+            )
+        self.pool.rebuild(self.dead_gen)
+        self.dead_gen = None
+        self.stragglers = False
+        self.rebuilds += 1
+        if self.recorder:
+            self.recorder.vinc("executor.pool_rebuilds")
+        return None
+
+    def info(self, stats: dict) -> list[dict]:
+        return [
+            {"pid": pid, "units": units, "busy_s": round(busy, 6)}
+            for pid, (units, busy) in sorted(stats.items())
+        ]
+
+    def __enter__(self) -> "_PoolSlots":
+        return self
+
+    def __exit__(self, exc_type, *_exc) -> None:
+        # An in-flight exception (contract violation, stop, SIGINT or
+        # SIGTERM as KeyboardInterrupt) must not hang on stuck workers.
+        for future in self.gens:
+            future.cancel()
+        broken = self.dead_gen is not None
+        terminated = 0
+        if self.owned:
+            terminated = self.pool.close(
+                terminate=broken or exc_type is not None
+            )
+        elif broken:
+            # A shared pool outlives this campaign: replace the broken
+            # or straggler-holding workers (no-op when the pool is
+            # closing or a neighbor already rebuilt that generation).
+            terminated = self.pool.rebuild(self.dead_gen)
+        if self.recorder and terminated and self.stragglers:
+            self.recorder.vinc("executor.straggler_terminations", terminated)
 
 
 def execute_scenarios(
@@ -561,7 +894,6 @@ def execute_scenarios(
     timeout: float | None = None,
     chunksize: int | None = None,
     on_result: Callable[[ScenarioResult], Any] | None = None,
-    poll_interval: float = 0.01,
     backend: str = "reference",
     batch_memory: int | None = None,
     compact: bool = True,
@@ -596,8 +928,6 @@ def execute_scenarios(
         (completion order) — the campaign layer journals through this,
         so an interrupted campaign keeps every chunk that finished
         before the interrupt.
-    poll_interval:
-        Seconds between readiness polls of outstanding chunks.
     backend:
         Execution engine per scenario: ``"reference"`` (default),
         ``"batched"`` (scheduler-planned mega-batches through one
@@ -634,11 +964,8 @@ def execute_scenarios(
         Bounded *in-run* retries per dispatch unit for retriable
         failures (fleet-deadline timeouts, transient worker errors,
         broken pools) before the failure is journaled for a later
-        resume.  Retries back off with :func:`retry_delay`; a unit that
-        broke the pool while running is re-run as singleton chunks so
-        the innocent majority completes and only the true killer (if
-        deterministic) fails terminally.  ``0`` (default) preserves the
-        journal-on-first-failure behavior exactly.
+        resume — the :func:`dispatch` retry and split rule.  ``0``
+        (default) journals on first failure.
     pool:
         A shared :class:`WorkerPool` (the campaign service's persistent
         pool).  ``None`` (default): a private pool is created and torn
@@ -695,348 +1022,36 @@ def execute_scenarios(
 
     indexed = list(enumerate(spec_list))
     jobs = max(1, jobs)
-    # Dispatch units: under the batched/auto backends the scheduler's
-    # whole planned batches ship to workers (pool chunking must not
-    # break batches); everything else — other backends, and the plan's
-    # non-batchable singles — ships as contiguous order-chunks.
-    units: list[tuple[list[IndexedSpec], tuple]] = []
+    units = _plan_units(
+        indexed, backend, chunksize, jobs, plan, batch_memory, pack_widths,
+        recorder,
+    )
+    workers = min(jobs, len(units))
     # The collect flag is appended only when metrics are on, so the
     # worker-call shape (and every monkeypatched test double) is
     # untouched on the default path.
     collect: tuple = (True,) if recorder else ()
-    if backend in ("batched", "auto"):
-        if plan is None:
-            from repro.engine.scheduler import plan_batches
 
-            plan = plan_batches(
-                indexed, batch_memory=batch_memory, jobs=jobs,
-                pack_widths=pack_widths, recorder=recorder,
-            )
-        for batch in plan.batches:
-            units.append(
-                (
-                    list(batch.items),
-                    (_execute_planned, batch, backend, compact) + collect,
-                )
-            )
-        singles = list(plan.singles)
-        if singles:
-            for chunk in _chunked(
-                singles, chunksize or default_chunksize(len(singles), jobs)
-            ):
-                units.append(
-                    (chunk, (_execute_chunk, chunk, backend) + collect)
-                )
-    else:
-        for chunk in _chunked(
-            indexed, chunksize or default_chunksize(len(indexed), jobs)
-        ):
-            units.append((chunk, (_execute_chunk, chunk, backend) + collect))
-    workers = min(jobs, len(units))
-    collected: dict[int, ScenarioResult] = {}
-    # pid -> [units, busy_s]; feeds the per-worker utilization info.
-    worker_stats: dict[int, list] = {}
+    def call(unit: _Unit) -> tuple:
+        if unit.batch is not None:
+            return (_execute_planned, unit.batch, backend, compact) + collect
+        return (_execute_chunk, unit.items, backend) + collect
 
-    def deliver(payload, submit_t: float | None = None) -> None:
-        payload, meta = _split_payload(payload)
-        if recorder and submit_t is not None:
-            turnaround = time.monotonic() - submit_t
-            recorder.add_duration("executor.unit_wall_s", turnaround)
-            if meta is not None:
-                if merge_witness is not None:
-                    merge_witness.append(meta["snapshot"])
-                recorder.merge(meta["snapshot"])
-                busy = meta["busy_s"]
-                recorder.add_duration("executor.worker_busy_s", busy)
-                recorder.add_duration(
-                    "executor.queue_wait_s", max(0.0, turnaround - busy)
-                )
-                stats = worker_stats.setdefault(meta["pid"], [0, 0.0])
-                stats[0] += 1
-                stats[1] += busy
-        for idx, result in payload:
-            if recorder:
-                _count_result(recorder, result)
-            collected[idx] = result
-            if on_result is not None:
-                on_result(result)
-
-    def timed_out(chunk: Sequence[IndexedSpec], budget: float) -> list:
-        return [
-            (
-                idx,
-                ScenarioResult.failure(
-                    spec,
-                    f"no result within {budget:.1f}s",
-                    status=STATUS_TIMEOUT,
-                    backend=backend,
-                ),
-            )
-            for idx, spec in chunk
-        ]
-
-    def failed_chunk(
-        chunk: Sequence[IndexedSpec], exc: BaseException, was_running: bool
-    ) -> list:
-        # Chunk-level failure: scenario-level exceptions are already
-        # contained inside execute_scenario, so this is one of
-        #   * a hard-killed worker (OOM killer, segfault) — the broken-
-        #     pool protocol fails every outstanding chunk.  Only chunks
-        #     *observed running* are journaled as terminal errors (one
-        #     of them killed its worker; retrying would kill another
-        #     host); chunks still queued when the pool broke never
-        #     executed at all and stay retriable, so a resumed campaign
-        #     re-runs them instead of skipping them forever;
-        #   * a deterministic task/result (un)pickling failure —
-        #     terminal, a retry would fail identically;
-        #   * transient worker infrastructure (MemoryError, broken
-        #     pipes) — journaled retriable like a timeout so a resumed
-        #     campaign re-runs the chunk.
-        terminal = _terminal_failure(exc, was_running)
-        return [
-            (
-                idx,
-                ScenarioResult.failure(
-                    spec,
-                    f"chunk failed: {type(exc).__name__}: {exc}",
-                    status=STATUS_ERROR if terminal else STATUS_TIMEOUT,
-                    backend=backend,
-                ),
-            )
-            for idx, spec in chunk
-        ]
-
-    contracts = _get_contracts()
-    # Worker snapshots in delivery order: the merge-commutativity
-    # contract re-merges them forward and backward at the end.
-    merge_witness: list[dict] | None = [] if (contracts and recorder) else None
-    max_retries = max(0, max_retries)
-    # A broken pool must be rebuilt before retried work can run; bound
-    # the rebuilds so a deterministically-crashing workload terminates.
-    max_rebuilds = 2 * max_retries + 2
-    rebuilds = 0
-    owned = pool is None
-    if owned:
-        pool = WorkerPool(workers)
-    abandoned = False
-    pool_dead = False
-    # Generation of the pool observed broken — a concurrent campaign on
-    # a shared pool may rebuild it first, making our rebuild a no-op.
-    dead_gen: int | None = None
-    try:
-        start = time.monotonic()
-        window = (
-            timeout * math.ceil(len(spec_list) / workers)
-            if timeout is not None
-            else None
-        )
-        deadline = start + window if window is not None else None
-        # The work queue: [items, call, attempts, not_before].  Retried
-        # units re-enter with attempts+1 and a backoff delay.
-        queue: list[list] = [
-            [items, call, 0, 0.0] for items, call in units
-        ]
-        # (items, call, attempts, handle, t, pool generation at submit)
-        pending: list[tuple] = []
-        # Which futures were ever observed executing on a worker — the
-        # broken-pool classifier's running/queued attribution.  Polled,
-        # so a worker that dies within one poll interval of starting may
-        # leave its chunk attributed as queued (retriable) — erring
-        # retriable is safe: the run still terminates and reports red.
-        seen_running: set[int] = set()
-
-        def unit_key(items) -> str:
-            return items[0][1].scenario_id if items else "empty"
-
-        def requeue(items, call, attempts) -> None:
-            delay = retry_delay(unit_key(items), attempts + 1)
-            queue.append(
-                [items, call, attempts + 1, time.monotonic() + delay]
-            )
-            if recorder:
-                recorder.vinc("executor.unit_retries")
-
-        def split_singletons(items, attempts) -> None:
-            # A hard-killed worker took a whole unit down without saying
-            # which scenario was guilty: re-run the members as singleton
-            # chunks so the innocent majority completes and only the
-            # true killer (if deterministic) fails terminally.  Safe for
-            # planned batches too — batched results are tagged by
-            # backend, not by grouping, so journal bytes are identical.
-            for item in items:
-                requeue(
-                    [item],
-                    (_execute_chunk, [item], backend) + collect,
-                    attempts,
-                )
-            if recorder:
-                recorder.vinc("executor.singleton_splits")
-
-        def rebuild_pool() -> None:
-            nonlocal pool_dead, rebuilds, dead_gen
-            pool.rebuild(dead_gen)
-            pool_dead = False
-            dead_gen = None
-            rebuilds += 1
-            if recorder:
-                recorder.vinc("executor.pool_rebuilds")
-
-        # Harvest units in *completion* order so every finished unit is
-        # journaled immediately — a slow unit must not hold back the
+    def deliver(pairs: list) -> None:
+        # Completion order: a slow unit must not hold back the
         # durability of the fast ones behind it.
-        while queue or pending:
-            if should_stop is not None and should_stop():
-                # Service shutdown: cancel what never dispatched and
-                # bail.  Delivered results are already journaled; a
-                # resubmit of the same grid resumes by hash.
-                for _items, _call, _attempts, handle, _t, _gen in pending:
-                    handle.cancel()
-                raise ExecutionStopped("run interrupted by shutdown signal")
-            now = time.monotonic()
-            progressed = False
-            if pool_dead and not pending and queue:
-                # Broken futures all drained; bring up a fresh pool for
-                # the retried/queued work (or give up retriably).
-                if rebuilds < max_rebuilds:
-                    rebuild_pool()
-                else:
-                    exc = BrokenProcessPool(
-                        "worker pool broken and rebuild budget exhausted"
-                    )
-                    for items, call, attempts, _ in queue:
-                        deliver(failed_chunk(items, exc, False))
-                    queue = []
-                progressed = True
-            if not pool_dead and queue:
-                waiting = []
-                for entry in queue:
-                    items, call, attempts, not_before = entry
-                    if pool_dead or not_before > now:
-                        waiting.append(entry)
-                        continue
-                    submit_gen = pool.generation
-                    try:
-                        handle = pool.submit(call[0], *call[1:])
-                    except (BrokenProcessPool, RuntimeError):
-                        # The pool broke (or a shared pool is closing)
-                        # before this unit dispatched — it never ran,
-                        # so it stays queued for the rebuilt pool.
-                        pool_dead = True
-                        if dead_gen is None:
-                            dead_gen = submit_gen
-                        waiting.append(entry)
-                        continue
-                    pending.append(
-                        (items, call, attempts, handle,
-                         time.monotonic(), submit_gen)
-                    )
-                    progressed = True
-                queue = waiting
-            still_pending = []
-            deadline_retried = False
-            for items, call, attempts, handle, submit_t, gen in pending:
-                if handle.running():
-                    seen_running.add(id(handle))
-                if handle.done():
-                    progressed = True
-                    try:
-                        payload = handle.result()
-                    except ContractViolation:
-                        # A violated invariant aborts the run loudly —
-                        # never journaled, never retried.
-                        raise
-                    except BaseException as exc:  # noqa: BLE001
-                        was_running = id(handle) in seen_running
-                        if isinstance(exc, BrokenProcessPool):
-                            pool_dead = True
-                            if dead_gen is None:
-                                dead_gen = gen
-                        if attempts < max_retries and (
-                            isinstance(exc, BrokenProcessPool)
-                            or not _terminal_failure(exc, was_running)
-                        ):
-                            if (
-                                isinstance(exc, BrokenProcessPool)
-                                and was_running
-                                and len(items) > 1
-                            ):
-                                split_singletons(items, attempts)
-                            else:
-                                requeue(items, call, attempts)
-                            continue
-                        payload = failed_chunk(items, exc, was_running)
-                    deliver(payload, submit_t)
-                elif deadline is not None and now > deadline:
-                    # Fleet deadline: every still-pending unit expires
-                    # together.  With retries left the stragglers'
-                    # workers are killed (pool rebuild) and the units
-                    # re-enter the queue under a fresh window; otherwise
-                    # they journal as retriable timeouts for resume.
-                    handle.cancel()
-                    if attempts < max_retries:
-                        requeue(items, call, attempts)
-                        pool_dead = True
-                        if dead_gen is None:
-                            dead_gen = gen
-                        deadline_retried = True
-                    else:
-                        deliver(timed_out(items, window))
-                        abandoned = True
-                    progressed = True
-                else:
-                    still_pending.append(
-                        (items, call, attempts, handle, submit_t, gen)
-                    )
-            pending = still_pending
-            if deadline_retried:
-                deadline = time.monotonic() + window
-            if (queue or pending) and not progressed:
-                _stop_aware_sleep(poll_interval, should_stop)
-    finally:
-        # Any in-flight exception (contract violation, injected fault,
-        # SIGINT/SIGTERM translated to KeyboardInterrupt) must not hang
-        # on stuck workers: terminate instead of waiting, exactly like
-        # the straggler path.
-        failing = sys.exc_info()[0] is not None
-        if owned:
-            if abandoned or pool_dead or failing:
-                terminated = pool.close(terminate=True)
-                if recorder and terminated and abandoned:
-                    recorder.vinc(
-                        "executor.straggler_terminations", terminated
-                    )
-            else:
-                pool.close()
-        elif abandoned or pool_dead:
-            # A shared pool outlives this campaign: replace the broken
-            # or straggler-holding workers instead of shutting down, so
-            # the daemon's other campaigns keep a live pool.  No-op if
-            # the pool is closing (service shutdown) or a neighbor
-            # already rebuilt the generation we saw break.
-            terminated = pool.rebuild(dead_gen)
-            if recorder and terminated and abandoned:
-                recorder.vinc("executor.straggler_terminations", terminated)
-    if merge_witness is not None and len(merge_witness) > 1:
-        contracts.check_merge_commutative(
-            merge_witness, context={"backend": backend, "jobs": jobs}
+        for _idx, result in pairs:
+            on_result(result)
+
+    max_retries = max(0, max_retries)
+    with _PoolSlots(pool, workers, call, 2 * max_retries + 2, recorder) as slots:
+        results = dispatch(
+            units, slots, backend=backend, timeout=timeout,
+            max_retries=max_retries, should_stop=should_stop,
+            recorder=recorder,
+            deliver=deliver if on_result is not None else None,
         )
     if recorder:
         recorder.vinc("executor.units_dispatched", len(units))
         recorder.vgauge_max("executor.pool_workers", workers)
-        wall = time.monotonic() - start
-        if worker_stats:
-            recorder.set_info(
-                "executor.workers",
-                [
-                    {"pid": pid, "units": stats[0],
-                     "busy_s": round(stats[1], 6)}
-                    for pid, stats in sorted(worker_stats.items())
-                ],
-            )
-            busy_total = sum(stats[1] for stats in worker_stats.values())
-            if wall > 0:
-                recorder.vgauge_max(
-                    "executor.worker_utilization_pct",
-                    round(100.0 * busy_total / (workers * wall), 1),
-                )
-    return [collected[i] for i in range(len(spec_list))]
+    return results

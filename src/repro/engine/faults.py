@@ -246,12 +246,11 @@ def torn_append(result) -> bool:
     return plan.claim("torn", result.scenario_id)
 
 
-def drop_worker_meta(chunk) -> bool:
+def drop_worker_meta(items) -> bool:
     """Worker-side hook: whether this unit's telemetry snapshot should be
-    dropped from the return payload (keyed on the unit's first id)."""
+    dropped from the return payload (keyed on the unit's first
+    ``(index, spec)`` item)."""
     plan = active_plan()
-    if plan is None or not plan.drop_meta or not chunk:
+    if plan is None or not plan.drop_meta or not items:
         return False
-    first = chunk[0]
-    spec = first[1] if isinstance(first, tuple) else first
-    return plan.claim("drop", spec.scenario_id)
+    return plan.claim("drop", items[0][1].scenario_id)

@@ -48,14 +48,14 @@ construction:
   merged journal is byte-identical to the serial run whatever the
   completion order.
 
-Fault tolerance generalizes the pool logic: a dead worker's in-flight
-unit requeues with capped deterministic backoff
-(:func:`~repro.engine.executor.retry_delay`), splitting to singleton
-chunks on repeated failure; stragglers past the fleet deadline are cut
-off and requeued; when the retry budget is exhausted the unit journals
-retriable ``timeout`` records so a restarted campaign resumes by hash.
-Workers also append every record to a per-worker shard file next to the
-journal (``<journal>.shard-<id>.jsonl`` on the coordinator); a restarted
+Dispatch is the pool's :func:`~repro.engine.executor.dispatch` loop
+over worker links (:class:`_Fleet`, one unit in flight per link), so
+retry, backoff, split and deadline behave as on a local pool: a lost
+link with a unit in flight is a dead worker (a multi-scenario unit
+re-runs as singletons), stragglers past the fleet deadline have their
+links cut, and the fleet is lost once no link is left.  Workers also
+append every record to a per-worker shard file next to the journal
+(``<journal>.shard-<id>.jsonl`` on the coordinator); a restarted
 campaign folds orphaned shard records back into the journal first
 (:func:`absorb_shards`), so work that completed before a coordinator
 crash is never re-executed.
@@ -63,8 +63,8 @@ crash is never re-executed.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
 import os
 import platform
 import queue as queue_mod
@@ -82,15 +82,16 @@ from repro.engine.contracts import (
 )
 from repro.engine.executor import (
     ExecutionStopped,
-    STATUS_TIMEOUT,
     ScenarioResult,
-    _count_result,
+    _drain,
     _execute_chunk,
     _execute_planned,
+    _Outcome,
+    _plan_units as _plan_dispatch_units,
     _split_payload,
-    default_chunksize,
+    _Unit,
+    dispatch,
     is_terminal,
-    retry_delay,
 )
 from repro.engine.faults import FAULTS_ENV
 from repro.engine.scenarios import ScenarioSpec
@@ -289,6 +290,14 @@ def _encode_items(items: Sequence) -> list:
     return [[idx, spec.to_dict()] for idx, spec in items]
 
 
+def _append_records(fh, records: list) -> None:
+    """Append ``(index, record)`` pairs to a shard file, one line each."""
+    for _idx, record in records:
+        fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        fh.write("\n")
+    fh.flush()
+
+
 # ----------------------------------------------------------------------
 # Worker side.
 # ----------------------------------------------------------------------
@@ -403,14 +412,7 @@ def _serve_session(sock: socket.socket, spool: Path | None, log) -> None:
                     if spool_fh is None:
                         spool.parent.mkdir(parents=True, exist_ok=True)
                         spool_fh = spool.open("a", encoding="utf-8")
-                    for _idx, record in reply["records"]:
-                        spool_fh.write(
-                            json.dumps(
-                                record, sort_keys=True, separators=(",", ":")
-                            )
-                            + "\n"
-                        )
-                    spool_fh.flush()
+                    _append_records(spool_fh, reply["records"])
                 _send(wfile, reply)
             elif kind == "shutdown":
                 break
@@ -583,27 +585,6 @@ class ShardMerger:
 # Coordinator.
 # ----------------------------------------------------------------------
 
-_UNIT_SEQ = threading.Lock()
-_unit_counter = [0]
-
-
-def _next_unit_id() -> str:
-    with _UNIT_SEQ:
-        _unit_counter[0] += 1
-        return f"u{_unit_counter[0]}"
-
-
-@dataclass
-class _Unit:
-    kind: str  # "batch" | "chunk"
-    items: list
-    batch: Any = None
-    id: str = field(default_factory=_next_unit_id)
-
-    def key(self) -> str:
-        return self.items[0][1].scenario_id if self.items else "empty"
-
-
 class _Link:
     """One live worker connection plus its reader thread."""
 
@@ -617,12 +598,9 @@ class _Link:
         self.pid: int | None = None
         self.host: str | None = None
         self.closed = False
-        self.inflight: tuple | None = None  # (unit, attempts, submit_t)
+        self.inflight: str | None = None  # id of the unit on the worker
         self.dispatched = 0
         self.requeued = 0
-        self.units_done = 0
-        self.busy_s = 0.0
-        self._thread: threading.Thread | None = None
 
     def read_hello(self, timeout: float) -> dict:
         self.sock.settimeout(timeout)
@@ -649,7 +627,7 @@ class _Link:
         self.host = hello.get("host")
         return hello
 
-    def start_reader(self, inbox: "queue_mod.Queue") -> None:
+    def start_reader(self, inbox) -> None:
         def _pump() -> None:
             try:
                 for line in self.rfile:
@@ -665,10 +643,9 @@ class _Link:
                 pass
             inbox.put((self, None))
 
-        self._thread = threading.Thread(
+        threading.Thread(
             target=_pump, name=f"remote-{self.id}", daemon=True
-        )
-        self._thread.start()
+        ).start()
 
     def send(self, msg: dict) -> None:
         _send(self.wfile, msg)
@@ -684,13 +661,13 @@ class _Link:
         except OSError:
             pass
 
-    def info(self) -> dict:
+    def info(self, units: int, busy_s: float) -> dict:
         return {
             "endpoint": self.endpoint.spec,
             "pid": self.pid,
             "host": self.host,
-            "units": self.units_done,
-            "busy_s": round(self.busy_s, 6),
+            "units": units,
+            "busy_s": round(busy_s, 6),
             "dispatched": self.dispatched,
             "requeued": self.requeued,
         }
@@ -716,43 +693,22 @@ def _plan_units(
     splits replace a unit in place, so plan-order coverage is preserved
     (the sampled ``scheduler.split_partition`` contract checks the cut).
     """
-    units: list[_Unit] = []
-    if backend in ("batched", "auto"):
-        from repro.engine.scheduler import plan_batches
+    from repro.engine.scheduler import can_split, plan_batches, split_planned
 
-        if plan is None:
-            plan = plan_batches(
-                indexed,
-                batch_memory=batch_memory,
-                jobs=1,
-                pack_widths=pack_widths,
-                recorder=recorder,
-            )
-        for batch in plan.batches:
-            units.append(
-                _Unit(kind="batch", items=list(batch.items), batch=batch)
-            )
-        singles = list(plan.singles)
-        if singles:
-            size = chunksize or default_chunksize(len(singles), fleet)
-            for i in range(0, len(singles), size):
-                units.append(_Unit(kind="chunk", items=singles[i:i + size]))
-    else:
-        size = chunksize or default_chunksize(len(indexed), fleet)
-        for i in range(0, len(indexed), size):
-            units.append(_Unit(kind="chunk", items=indexed[i:i + size]))
-
-    from repro.engine.scheduler import can_split, split_planned
-
+    if plan is None and backend in ("batched", "auto"):
+        plan = plan_batches(
+            indexed, batch_memory=batch_memory, jobs=1,
+            pack_widths=pack_widths, recorder=recorder,
+        )
+    units = _plan_dispatch_units(indexed, backend, chunksize, fleet, plan)
     while len(units) < fleet:
-        best = None
-        best_lanes = 0
-        for i, unit in enumerate(units):
-            if unit.kind == "batch" and can_split(unit.batch):
-                if unit.batch.lanes > best_lanes:
-                    best, best_lanes = i, unit.batch.lanes
-        if best is None:
+        splittable = [
+            i for i, unit in enumerate(units)
+            if unit.batch is not None and can_split(unit.batch)
+        ]
+        if not splittable:
             break
+        best = max(splittable, key=lambda i: units[i].batch.lanes)
         batch = units[best].batch
         halves = split_planned(batch)
         contracts = _get_contracts()
@@ -761,33 +717,192 @@ def _plan_units(
                 batch, halves, context={"backend": backend, "fleet": fleet}
             )
         units[best:best + 1] = [
-            _Unit(kind="batch", items=list(half.items), batch=half)
-            for half in halves
+            _Unit(list(half.items), half) for half in halves
         ]
     return units
 
 
-def _unit_msg(unit: _Unit, backend: str, compact: bool) -> dict:
-    if unit.kind == "batch":
-        batch = unit.batch
-        return {
-            "type": "unit",
-            "kind": "batch",
-            "id": unit.id,
-            "n": batch.n,
-            "bucket": batch.bucket,
-            "width": batch.width,
-            "items": _encode_items(batch.items),
-            "backend": backend,
-            "compact": compact,
-        }
-    return {
+def _unit_msg(unit: _Unit, unit_id: str, backend: str, compact: bool) -> dict:
+    msg = {
         "type": "unit",
-        "kind": "chunk",
-        "id": unit.id,
+        "kind": unit.kind,
+        "id": unit_id,
         "items": _encode_items(unit.items),
         "backend": backend,
     }
+    if unit.batch is not None:
+        batch = unit.batch
+        msg.update(n=batch.n, bucket=batch.bucket, width=batch.width,
+                   compact=compact)
+    return msg
+
+
+class _Fleet:
+    """Dispatcher slots over worker links (see
+    :func:`~repro.engine.executor.dispatch`).
+
+    One unit in flight per link, so slow workers never hoard; replies
+    reach the dispatcher through the reader threads' shared inbox.  A
+    lost connection is a lost slot (its in-flight unit reports
+    ``lost``), a deadline cut closes the straggler's link (the remote
+    worker notices on its next send and re-enters its accept loop), and
+    the fleet is lost once no link is left.  Every result record is
+    appended to the link's shard file (``<shard_base>.shard-<id>.jsonl``)
+    as it arrives, before the merge.
+    """
+
+    PREFIX = "remote"
+    RETRIES = "remote.batches_requeued"
+
+    def __init__(self, endpoints, setup, connect_timeout, backend, compact,
+                 shard_base, recorder) -> None:
+        self.endpoints = endpoints
+        self.backend = backend
+        self.compact = compact
+        self.shard_base = shard_base
+        self.recorder = recorder
+        self.inbox: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
+        self.links: list[_Link] = []
+        self.shards: dict[str, Any] = {}
+        self.sent = 0
+        try:
+            for i, endpoint in enumerate(endpoints):
+                link = _Link(f"w{i}", endpoint,
+                             endpoint.establish(connect_timeout))
+                self.links.append(link)
+                try:
+                    link.read_hello(connect_timeout)
+                    link.send(setup)
+                except (OSError, ValueError) as exc:
+                    raise RemoteWorkerError(
+                        f"handshake with worker {endpoint.spec} failed: {exc}"
+                    ) from exc
+                link.start_reader(self.inbox)
+        except BaseException:
+            self.close()
+            raise
+        self.size = len(self.links)
+
+    def usable(self) -> bool:
+        return any(not link.closed for link in self.links)
+
+    def recover(self) -> str:
+        return "RemoteWorkerError: remote fleet lost (all workers down)"
+
+    def _lose(self, link: _Link) -> None:
+        link.close()
+        if self.recorder:
+            self.recorder.vinc("remote.workers_lost")
+
+    def submit(self, unit: _Unit):
+        for link in self.links:
+            if link.closed or link.inflight is not None:
+                continue
+            self.sent += 1
+            msg = _unit_msg(unit, f"u{self.sent}", self.backend, self.compact)
+            try:
+                link.send(msg)
+            except (OSError, ValueError):
+                self._lose(link)
+                continue
+            link.inflight = msg["id"]
+            link.dispatched += 1
+            if self.recorder:
+                self.recorder.vinc("remote.batches_dispatched")
+            return link
+        return None
+
+    def wait(self, pending: dict):
+        for link, msg in _drain(self.inbox):
+            if link.closed:
+                continue  # a cut straggler's late reply, or its EOF
+            if msg is None:
+                self._lose(link)
+                if link.inflight is not None:
+                    link.inflight = None
+                    link.requeued += 1
+                    yield _Outcome(
+                        link, was_running=True, lost=True,
+                        error=("WorkerLost", f"worker {link.endpoint.spec} "
+                               "connection lost"),
+                    )
+                continue
+            if link.inflight is None or msg.get("id") != link.inflight:
+                continue
+            if msg.get("type") == "error":
+                if msg.get("kind") == "contract":
+                    raise ContractViolation(
+                        msg.get("contract", "remote"),
+                        msg.get("detail", msg.get("error", "remote violation")),
+                        dict(msg.get("repro") or {},
+                             worker=link.endpoint.spec),
+                    )
+                link.inflight = None
+                link.requeued += 1
+                yield _Outcome(
+                    link, was_running=True,
+                    error=(msg.get("kind", "RemoteError"),
+                           msg.get("error", "?")),
+                )
+            elif msg.get("type") == "result":
+                link.inflight = None
+                records = msg.get("records", [])
+                self._append_shard(link, records)
+                snapshot = msg.get("snapshot")
+                if self.recorder:
+                    # Det plane: every scenario's record is merged
+                    # exactly once in a clean run, whatever the fleet.
+                    self.recorder.inc(
+                        "remote.shard_records_merged", len(records)
+                    )
+                yield _Outcome(
+                    link,
+                    [(int(idx), decode_result(rec)) for idx, rec in records],
+                    {"busy_s": float(msg.get("busy_s") or 0.0),
+                     "snapshot": snapshot} if snapshot else None,
+                    worker=link.id,
+                )
+
+    def _append_shard(self, link: _Link, records: list) -> None:
+        if self.shard_base is None or not records:
+            return
+        fh = self.shards.get(link.id)
+        if fh is None:
+            path = Path(f"{self.shard_base}.shard-{link.id}.jsonl")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # "w": a fresh run owns its shards — stale shards from an
+            # earlier run were already absorbed (or superseded).
+            fh = self.shards[link.id] = path.open("w", encoding="utf-8")
+        _append_records(fh, records)
+
+    def cut(self, links: list) -> None:
+        for link in links:
+            link.close()
+            link.inflight = None
+            link.requeued += 1
+            if self.recorder:
+                self.recorder.vinc("remote.stragglers_cut")
+
+    def info(self, stats: dict) -> list[dict]:
+        return [
+            link.info(*stats.get(link.id, (0, 0.0))) for link in self.links
+        ]
+
+    def close(self) -> None:
+        for link in self.links:
+            if not link.closed:
+                try:
+                    link.send({"type": "shutdown"})
+                except (OSError, ValueError):
+                    pass
+                link.close()
+        for endpoint in self.endpoints:
+            endpoint.close()
+        for fh in self.shards.values():
+            try:
+                fh.close()
+            except OSError:
+                pass
 
 
 def execute_remote(
@@ -806,19 +921,20 @@ def execute_remote(
     should_stop: Callable[[], bool] | None = None,
     shard_base: str | os.PathLike | None = None,
     chunksize: int | None = None,
-    poll_interval: float = 0.05,
     connect_timeout: float = CONNECT_TIMEOUT_S,
 ) -> list[ScenarioResult]:
     """Execute scenarios on a fleet of remote workers.
 
-    Mirrors :func:`~repro.engine.executor.execute_scenarios` semantics
-    (``on_result`` journaling, ``max_retries`` with deterministic
-    backoff, a pooled fleet deadline from ``timeout``, ``should_stop``)
-    but delivers results to ``on_result`` in *plan order* through a
-    :class:`ShardMerger`, so the journal is byte-identical to a serial
-    single-host run.  ``shard_base`` (the journal path) enables
-    coordinator-side per-worker shard files for crash-resume via
-    :func:`absorb_shards`.  Returns results in ``specs`` order.
+    The same :func:`~repro.engine.executor.dispatch` loop as
+    :func:`~repro.engine.executor.execute_scenarios` (``on_result``
+    journaling, ``max_retries`` with deterministic backoff and the one
+    split rule, a pooled fleet deadline from ``timeout``,
+    ``should_stop``), over worker links instead of a pool — but results
+    reach ``on_result`` in *plan order* through a :class:`ShardMerger`,
+    so the journal is byte-identical to a serial single-host run.
+    ``shard_base`` (the journal path) enables coordinator-side
+    per-worker shard files for crash-resume via :func:`absorb_shards`.
+    Returns results in ``specs`` order.
     """
     spec_list = list(specs)
     if not spec_list:
@@ -827,342 +943,62 @@ def execute_remote(
     if not endpoints:
         raise ValueError("execute_remote needs at least one worker endpoint")
 
-    if shard_base is not None:
-        # A fresh run owns its shard namespace: anything a previous run
-        # left behind was either absorbed on resume or is superseded.
-        for stale in shard_paths(shard_base):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+    # A fresh run owns its shard namespace: anything a previous run left
+    # behind was either absorbed on resume or is superseded.
+    _remove_shards(shard_base)
 
-    indexed = list(enumerate(spec_list))
     units = _plan_units(
-        indexed, backend, batch_memory, pack_widths, plan, chunksize,
-        len(endpoints), recorder,
+        list(enumerate(spec_list)), backend, batch_memory, pack_widths,
+        plan, chunksize, len(endpoints), recorder,
     )
     order = [idx for unit in units for idx, _spec in unit.items]
     merger = ShardMerger(order)
+    delivered_ids: list[str] = []
 
-    inbox: queue_mod.Queue = queue_mod.Queue()
+    def deliver(pairs: list) -> None:
+        for idx, result in pairs:
+            for _idx, released in merger.add(idx, result):
+                delivered_ids.append(released.scenario_id)
+                if on_result is not None:
+                    on_result(released)
+
     setup = {
         "type": "setup",
         "env": {k: os.environ[k] for k in SHIPPED_ENV if k in os.environ},
         "collect": bool(recorder),
     }
-    links: list[_Link] = []
-    try:
-        for i, endpoint in enumerate(endpoints):
-            sock = endpoint.establish(connect_timeout)
-            link = _Link(f"w{i}", endpoint, sock)
-            try:
-                link.read_hello(connect_timeout)
-                link.send(setup)
-            except (OSError, ValueError) as exc:
-                link.close()
-                raise RemoteWorkerError(
-                    f"handshake with worker {endpoint.spec} failed: {exc}"
-                ) from exc
-            link.start_reader(inbox)
-            links.append(link)
-    except BaseException:
-        for link in links:
-            link.close()
-        for endpoint in endpoints:
-            endpoint.close()
-        raise
-
-    fleet = len(links)
-    start = time.monotonic()
-    window = (
-        timeout * math.ceil(len(spec_list) / fleet)
-        if timeout is not None
-        else None
-    )
-    deadline = start + window if window is not None else None
-
-    # The work queue: [unit, attempts, not_before] — retried units
-    # re-enter with attempts+1 and a deterministic backoff delay.
-    work: list[list] = [[unit, 0, 0.0] for unit in units]
-    done_units: set[str] = set()
-    collected: dict[int, ScenarioResult] = {}
-    delivered_ids: list[str] = []
-    shard_files: dict[str, Any] = {}
-    abandoned = False
-    stopped = False
-
-    def live() -> list[_Link]:
-        return [link for link in links if not link.closed]
-
-    def deliver(released: list) -> None:
-        for idx, result in released:
-            if recorder:
-                _count_result(recorder, result)
-            collected[idx] = result
-            delivered_ids.append(result.scenario_id)
-            if on_result is not None:
-                on_result(result)
-
-    def append_shard(link: _Link, records: list) -> None:
-        if shard_base is None or not records:
-            return
-        fh = shard_files.get(link.id)
-        if fh is None:
-            path = Path(f"{shard_base}.shard-{link.id}.jsonl")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # "w": a fresh run owns its shards — stale shards from an
-            # earlier run were already absorbed (or superseded).
-            fh = path.open("w", encoding="utf-8")
-            shard_files[link.id] = fh
-        for _idx, record in records:
-            fh.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":"))
-                + "\n"
+    fleet = _Fleet(endpoints, setup, connect_timeout, backend, compact,
+                   shard_base, recorder)
+    with contextlib.closing(fleet):
+        try:
+            results = dispatch(
+                units, fleet, backend=backend, timeout=timeout,
+                max_retries=max(0, max_retries), should_stop=should_stop,
+                recorder=recorder, deliver=deliver,
             )
-        fh.flush()
-
-    def synthesize_failure(unit: _Unit, reason: str) -> None:
-        nonlocal abandoned
-        abandoned = True
-        done_units.add(unit.id)
-        for idx, spec in unit.items:
-            deliver(
-                merger.add(
-                    idx,
-                    ScenarioResult.failure(
-                        spec, reason, status=STATUS_TIMEOUT, backend=backend
-                    ),
-                )
-            )
-
-    def retry_or_fail(link: _Link | None, unit: _Unit, attempts: int,
-                      reason: str) -> None:
-        if link is not None:
-            link.requeued += 1
-        if attempts < max_retries:
-            if recorder:
-                recorder.vinc("remote.batches_requeued")
-            if attempts >= 1 and len(unit.items) > 1:
-                # Repeated failure of a multi-scenario unit: re-run the
-                # members as singleton chunks so the innocent majority
-                # completes and only a deterministic killer fails.
-                if recorder:
-                    recorder.vinc("remote.singleton_splits")
-                for item in unit.items:
-                    single = _Unit(kind="chunk", items=[item])
-                    delay = retry_delay(single.key(), attempts + 1)
-                    work.append(
-                        [single, attempts + 1, time.monotonic() + delay]
-                    )
-            else:
-                delay = retry_delay(unit.key(), attempts + 1)
-                work.append([unit, attempts + 1, time.monotonic() + delay])
-        else:
-            synthesize_failure(
-                unit, f"remote unit failed: {reason} "
-                f"(retry budget {max_retries} exhausted)"
-            )
-
-    def lose_link(link: _Link, reason: str) -> None:
-        if link.closed:
-            entry = link.inflight
-            link.inflight = None
-            if entry is not None and entry[0].id not in done_units:
-                retry_or_fail(link, entry[0], entry[1], reason)
-            return
-        link.close()
-        if recorder:
-            recorder.vinc("remote.workers_lost")
-        entry = link.inflight
-        link.inflight = None
-        if entry is not None and entry[0].id not in done_units:
-            retry_or_fail(link, entry[0], entry[1], reason)
-
-    def handle(link: _Link, msg) -> None:
-        if msg is None:
-            lose_link(link, f"worker {link.endpoint.spec} connection lost")
-            return
-        if link.closed:
-            return  # late straggler reply — its unit was requeued
-        kind = msg.get("type")
-        if kind == "result":
-            entry = link.inflight
-            if (
-                entry is None
-                or entry[0].id != msg.get("id")
-                or msg.get("id") in done_units
-            ):
-                return
-            unit, _attempts, submit_t = entry
-            link.inflight = None
-            done_units.add(unit.id)
-            records = msg.get("records", [])
-            append_shard(link, records)
-            busy = float(msg.get("busy_s") or 0.0)
-            link.units_done += 1
-            link.busy_s += busy
-            if recorder:
-                turnaround = time.monotonic() - submit_t
-                recorder.add_duration("executor.unit_wall_s", turnaround)
-                snapshot = msg.get("snapshot")
-                if snapshot:
-                    recorder.merge(snapshot)
-                    recorder.add_duration("executor.worker_busy_s", busy)
-                    recorder.add_duration(
-                        "executor.queue_wait_s", max(0.0, turnaround - busy)
-                    )
-                # Det plane: every scenario's record is merged exactly
-                # once in a clean run, whatever the fleet size.
-                recorder.inc("remote.shard_records_merged", len(records))
-            released: list = []
-            for idx, record in records:
-                released.extend(merger.add(int(idx), decode_result(record)))
-            deliver(released)
-        elif kind == "error":
-            if msg.get("kind") == "contract":
-                raise ContractViolation(
-                    msg.get("contract", "remote"),
-                    msg.get("detail", msg.get("error", "remote violation")),
-                    dict(msg.get("repro") or {}, worker=link.endpoint.spec),
-                )
-            entry = link.inflight
-            link.inflight = None
-            if entry is not None and entry[0].id not in done_units:
-                retry_or_fail(link, entry[0], entry[1], msg.get("error", "?"))
-
-    try:
-        while work or any(link.inflight for link in live()):
-            if should_stop is not None and should_stop():
-                stopped = True
-                raise ExecutionStopped(
-                    "run interrupted by shutdown signal"
-                )
-            if not live():
-                # The whole fleet is gone: journal everything left as
-                # retriable timeouts so a restarted campaign resumes.
-                for unit, _attempts, _not_before in work:
-                    if unit.id not in done_units:
-                        synthesize_failure(
-                            unit, "remote fleet lost (all workers down)"
-                        )
-                work = []
-                break
-            now = time.monotonic()
-            # Dispatch: one in-flight unit per worker so slow workers
-            # never hoard.
-            idle = [link for link in live() if link.inflight is None]
-            for link in idle:
-                chosen = None
-                for i, entry in enumerate(work):
-                    if entry[2] <= now:
-                        chosen = i
-                        break
-                if chosen is None:
-                    break
-                unit, attempts, _not_before = work.pop(chosen)
-                try:
-                    link.send(_unit_msg(unit, backend, compact))
-                except (OSError, ValueError) as exc:
-                    work.insert(0, [unit, attempts, _not_before])
-                    lose_link(
-                        link,
-                        f"send to {link.endpoint.spec} failed: {exc}",
-                    )
-                    continue
-                link.inflight = (unit, attempts, time.monotonic())
-                link.dispatched += 1
-                if recorder:
-                    recorder.vinc("remote.batches_dispatched")
-            # Receive: block briefly for the first message, then drain.
-            events = []
-            try:
-                events.append(inbox.get(timeout=poll_interval))
-            except queue_mod.Empty:
-                pass
-            while True:
-                try:
-                    events.append(inbox.get_nowait())
-                except queue_mod.Empty:
-                    break
-            for link, msg in events:
-                handle(link, msg)
-            # Fleet deadline: every straggling unit expires together —
-            # cut the link (the remote worker notices on its next send
-            # and re-enters its accept loop) and retry elsewhere.
-            if deadline is not None and time.monotonic() > deadline:
-                stragglers = [link for link in live() if link.inflight]
-                if stragglers:
-                    retried = False
-                    for link in stragglers:
-                        entry = link.inflight
-                        link.close()
-                        if recorder:
-                            recorder.vinc("remote.stragglers_cut")
-                        link.inflight = None
-                        unit, attempts, _submit_t = entry
-                        if unit.id in done_units:
-                            continue
-                        if attempts < max_retries:
-                            retry_or_fail(link, unit, attempts,
-                                          "fleet deadline")
-                            retried = True
-                        else:
-                            synthesize_failure(
-                                unit,
-                                f"no result within {window:.1f}s",
-                            )
-                    if retried:
-                        deadline = time.monotonic() + window
-    finally:
-        if stopped:
-            # Durability on interrupt: journal every already-completed
-            # result still held back by the merger (plan-order among
-            # themselves; gaps simply re-run on resume).
-            deliver(merger.drain())
-        for link in links:
-            if not link.closed:
-                try:
-                    link.send({"type": "shutdown"})
-                except (OSError, ValueError):
-                    pass
-                link.close()
-        for endpoint in endpoints:
-            endpoint.close()
-        for fh in shard_files.values():
-            try:
-                fh.close()
-            except OSError:
-                pass
+        except ExecutionStopped:
+            # Durability on interrupt: journal every completed result
+            # the merger still holds (plan order among themselves; the
+            # gaps re-run on resume).
+            for _idx, result in merger.drain():
+                if on_result is not None:
+                    on_result(result)
+            raise
 
     contracts = _get_contracts()
-    if contracts and not abandoned and contracts.sample("shard_merge"):
+    if contracts and contracts.sample("shard_merge"):
         contracts.check_shard_merge(
             [spec_list[idx].scenario_id for idx in order],
             delivered_ids,
-            context={"backend": backend, "fleet": fleet},
+            context={"backend": backend, "fleet": fleet.size},
         )
-    if shard_base is not None:
-        # Every sharded record is journal-durable once the run returns
-        # normally — drop the redundant shards so only a crashed or
-        # interrupted coordinator leaves any behind for absorb_shards.
-        for path in shard_paths(shard_base):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    # Every sharded record is journal-durable once the run returns
+    # normally — drop the redundant shards so only a crashed or
+    # interrupted coordinator leaves any behind for absorb_shards.
+    _remove_shards(shard_base)
     if recorder:
-        recorder.vgauge_max("remote.fleet", fleet)
-        recorder.set_info(
-            "remote.workers", [link.info() for link in links]
-        )
-        wall = time.monotonic() - start
-        busy_total = sum(link.busy_s for link in links)
-        if wall > 0 and busy_total:
-            recorder.vgauge_max(
-                "remote.worker_utilization_pct",
-                round(100.0 * busy_total / (fleet * wall), 1),
-            )
-    return [collected[i] for i in range(len(spec_list))]
+        recorder.vgauge_max("remote.fleet", fleet.size)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -1174,6 +1010,14 @@ def shard_paths(store_path: str | os.PathLike) -> list[Path]:
     """The per-worker shard files next to a journal path."""
     path = Path(store_path)
     return sorted(path.parent.glob(path.name + ".shard-*.jsonl"))
+
+
+def _remove_shards(store_path: str | os.PathLike | None) -> None:
+    for path in shard_paths(store_path) if store_path is not None else ():
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
 
 def absorb_shards(store, recorder=None) -> int:

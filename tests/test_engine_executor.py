@@ -329,34 +329,63 @@ class TestWorkerPool:
             _signal.signal(_signal.SIGTERM, previous)
 
 
-class TestStopAwareSleep:
-    """The dispatch loop's idle wait (which also covers retry-backoff
-    windows) must wake promptly when the stop signal flips — a daemon
-    SIGTERM may land mid-backoff."""
+def _chunk_transient(chunk, backend="reference", collect=False):
+    # Module-level so the pool can pickle it to a worker by reference.
+    raise MemoryError("transient worker failure")
 
-    def test_wakes_early_when_stop_flips(self):
+
+class TestStopDuringBackoff:
+    """The dispatcher's idle wait covers retry-backoff windows too, so a
+    stop signal (a daemon SIGTERM) that lands mid-backoff must end the
+    run promptly on both dispatch paths."""
+
+    @pytest.mark.parametrize(
+        "path", ["pool", pytest.param("fleet", marks=pytest.mark.daemon)]
+    )
+    def test_stop_flip_in_backoff_raises_within_a_second(
+        self, path, monkeypatch
+    ):
         import threading
 
-        from repro.engine.executor import _stop_aware_sleep
+        import repro.engine.executor as executor_module
+        import repro.engine.remote as remote_module
+        from repro.engine.executor import ExecutionStopped
 
         stop = threading.Event()
-        threading.Timer(0.15, stop.set).start()
-        t0 = time.monotonic()
-        _stop_aware_sleep(30.0, stop.is_set)
-        elapsed = time.monotonic() - t0
-        assert elapsed < 2.0, f"slept {elapsed:.2f}s past the stop signal"
+        flipped: list[float] = []
 
-    def test_returns_immediately_when_already_stopped(self):
-        from repro.engine.executor import _stop_aware_sleep
+        def flip():
+            flipped.append(time.monotonic())
+            stop.set()
 
-        t0 = time.monotonic()
-        _stop_aware_sleep(30.0, lambda: True)
-        assert time.monotonic() - t0 < 1.0
+        def long_backoff(key, attempt):
+            if attempt == 1 and not flipped:
+                threading.Timer(0.2, flip).start()
+            return 30.0
 
-    def test_sleeps_fully_without_stop_signal(self):
-        from repro.engine.executor import _stop_aware_sleep
+        monkeypatch.setattr(executor_module, "retry_delay", long_backoff)
+        specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s)
+                 for s in range(2)]
+        run = {"max_retries": 3, "should_stop": stop.is_set}
+        if path == "pool":
+            monkeypatch.setattr(
+                executor_module, "_execute_chunk", _chunk_transient
+            )
+            with pytest.raises(ExecutionStopped):
+                execute_scenarios(specs, jobs=2, **run)
+            stopped_at = time.monotonic()
+        else:
+            from worker_harness import thread_workers
 
-        t0 = time.monotonic()
-        _stop_aware_sleep(0.15, None)
-        _stop_aware_sleep(0.15, lambda: False)
-        assert time.monotonic() - t0 >= 0.25
+            monkeypatch.setattr(
+                remote_module, "_execute_chunk", _chunk_transient
+            )
+            with thread_workers() as endpoints:
+                with pytest.raises(ExecutionStopped):
+                    remote_module.execute_remote(
+                        specs, endpoints, backend="reference", **run
+                    )
+                stopped_at = time.monotonic()
+        assert flipped, "the unit was never retried"
+        elapsed = stopped_at - flipped[0]
+        assert elapsed < 1.0, f"stopped {elapsed:.2f}s after the signal"

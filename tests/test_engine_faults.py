@@ -1,6 +1,7 @@
 """Deterministic fault injection: reconvergence to byte-identical
 journals, torn-tail tolerance, bounded retry, graceful interrupts."""
 
+import contextlib
 import json
 import os
 import signal
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from worker_harness import worker_fleet
 
 from repro.engine import faults as faults_module
 from repro.engine.campaign import Campaign
@@ -31,6 +34,26 @@ def _specs(count=6, n=5):
         ScenarioSpec(n=n, k=2, num_groups=2, seed=s, noise=0.1)
         for s in range(count)
     ]
+
+
+@pytest.fixture(
+    params=["pool", pytest.param("fleet", marks=pytest.mark.daemon)]
+)
+def dispatch_kw(request, tmp_path):
+    """``Campaign.run`` kwargs for one dispatch path, given the worker
+    count a fleet needs: ``jobs=2`` on the local pool, or a localhost
+    fleet of that many ``repro worker`` subprocesses."""
+    with contextlib.ExitStack() as stack:
+
+        def kw(fleet_size):
+            if request.param == "pool":
+                return {"jobs": 2}
+            home = tmp_path / "fleet"
+            home.mkdir(exist_ok=True)
+            fleet = stack.enter_context(worker_fleet(home, fleet_size))
+            return {"workers": fleet.endpoints}
+
+        yield kw
 
 
 def _summary_bytes(tmp_path, tag, specs, **run_kw):
@@ -136,7 +159,9 @@ def test_retry_delay_is_deterministic_capped_and_growing():
 # ----------------------------------------------------------------------
 # Reconvergence: faulted runs end byte-identical to fault-free runs
 # ----------------------------------------------------------------------
-def test_transient_fault_retried_to_identical_summary(tmp_path):
+def test_transient_fault_retried_to_identical_summary(
+    tmp_path, dispatch_kw
+):
     specs = _specs(6)
     ids = [s.scenario_id for s in specs]
     seed, victims = _seed_with_victims("transient", 0.4, ids)
@@ -147,7 +172,7 @@ def test_transient_fault_retried_to_identical_summary(tmp_path):
         seed, transient=0.4, ledger=str(ledger)
     ).install()
     faulted = _summary_bytes(
-        tmp_path, "faulted", specs, jobs=2,
+        tmp_path, "faulted", specs, **dispatch_kw(2),
         campaign_kw={"max_retries": 2},
     )
     assert faulted == clean
@@ -157,7 +182,9 @@ def test_transient_fault_retried_to_identical_summary(tmp_path):
     )
 
 
-def test_worker_kill_fault_retried_to_identical_summary(tmp_path):
+def test_worker_kill_fault_retried_to_identical_summary(
+    tmp_path, dispatch_kw
+):
     specs = _specs(6)
     ids = [s.scenario_id for s in specs]
     seed, victims = _seed_with_victims("kill", 0.3, ids)
@@ -165,29 +192,34 @@ def test_worker_kill_fault_retried_to_identical_summary(tmp_path):
 
     ledger = tmp_path / "kill.ledger"
     FaultPlan.from_seed(seed, kill=0.3, ledger=str(ledger)).install()
+    # Every kill takes one fleet worker down for good: one survives.
     faulted = _summary_bytes(
-        tmp_path, "faulted", specs, jobs=2,
+        tmp_path, "faulted", specs, **dispatch_kw(len(victims) + 1),
         campaign_kw={"max_retries": 2},
     )
     assert faulted == clean
     assert ledger.read_text().count("kill:") == len(victims)
 
 
-def test_stall_fault_deadline_retried_to_identical_summary(tmp_path):
+def test_stall_fault_deadline_retried_to_identical_summary(
+    tmp_path, dispatch_kw
+):
     specs = _specs(4, n=4)
     ids = [s.scenario_id for s in specs]
-    seed, _ = _seed_with_victims("stall", 0.3, ids)
+    seed, victims = _seed_with_victims("stall", 0.3, ids)
     clean = _summary_bytes(tmp_path, "clean", specs, jobs=2)
 
     ledger = tmp_path / "stall.ledger"
     FaultPlan.from_seed(
         seed, stall=0.3, stall_s=4.0, ledger=str(ledger)
     ).install()
+    # The deadline cuts every straggler's link for the rest of the run.
     faulted = _summary_bytes(
-        tmp_path, "faulted", specs, jobs=2, timeout=0.5,
-        campaign_kw={"max_retries": 2},
+        tmp_path, "faulted", specs, **dispatch_kw(len(victims) + 1),
+        timeout=0.5, campaign_kw={"max_retries": 2},
     )
     assert faulted == clean
+    assert ledger.read_text().count("stall:") == len(victims)
 
 
 def test_torn_journal_write_heals_on_resume(tmp_path):

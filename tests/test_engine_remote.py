@@ -9,16 +9,18 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from daemon_harness import repro_env
-from worker_harness import worker_fleet
+from worker_harness import thread_workers, worker_fleet
 
 from repro.engine import faults as _faults
+from repro.engine import remote
 from repro.engine.campaign import Campaign
 from repro.engine.contracts import contracts_enabled
-from repro.engine.executor import execute_scenarios
+from repro.engine.executor import ExecutionStopped, execute_scenarios
 from repro.engine.faults import FaultPlan
 from repro.engine.remote import (
     RemoteWorkerError,
@@ -302,6 +304,85 @@ class TestRemoteWorkerLoss:
             _faults.clear()
         fired = ledger.read_text().splitlines()
         assert len(fired) == 1 and fired[0].startswith("kill:")
+
+
+# ----------------------------------------------------------------------
+# The shared dispatcher's failure and stop policy on the fleet.
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.daemon
+class TestFleetDispatchPolicy:
+    SPECS = [
+        ScenarioSpec(n=5, k=2, num_groups=2, seed=s, noise=0.1)
+        for s in range(6)
+    ]
+
+    def test_deterministic_unit_failure_journals_terminal_error(
+        self, monkeypatch
+    ):
+        # A worker-side TypeError fails identically on every retry: it
+        # must journal a terminal "error" (as on the pool), not be
+        # retried and journaled as a retriable "timeout".
+        def broken(chunk, backend="reference", collect=False):
+            raise TypeError("unit cannot run")
+
+        monkeypatch.setattr(remote, "_execute_chunk", broken)
+        rec = Recorder()
+        with thread_workers() as endpoints:
+            results = execute_remote(
+                self.SPECS[:3], endpoints, backend="reference",
+                max_retries=2, recorder=rec,
+            )
+        assert [r.status for r in results] == ["error"] * 3
+        assert all("TypeError: unit cannot run" in r.error for r in results)
+        assert rec.counter("remote.batches_requeued") == 0
+
+    def test_stop_journals_held_results_and_resume_converges(
+        self, tmp_path, monkeypatch
+    ):
+        serial = Campaign(self.SPECS, store=tmp_path / "serial.jsonl")
+        serial.run()
+        serial.write_summary(tmp_path / "serial.summary")
+        ref = (tmp_path / "serial.jsonl").read_text().splitlines()
+
+        # Hold the first plan position on one worker, so the merger
+        # holds back every later result the other worker completes.
+        release = threading.Event()
+        real = remote._execute_chunk
+        first = self.SPECS[0].scenario_id
+
+        def gated(chunk, backend="reference", collect=False):
+            if any(spec.scenario_id == first for _idx, spec in chunk):
+                release.wait(30)
+            return real(chunk, backend, collect)
+
+        monkeypatch.setattr(remote, "_execute_chunk", gated)
+        rec = Recorder()
+        store = tmp_path / "fleet.jsonl"
+        with thread_workers(2) as endpoints:
+            try:
+                with pytest.raises(ExecutionStopped):
+                    Campaign(self.SPECS, store=store).run(
+                        workers=endpoints, recorder=rec,
+                        should_stop=lambda: rec.counter(
+                            "remote.shard_records_merged"
+                        ) >= len(self.SPECS) - 1,
+                    )
+            finally:
+                release.set()
+        # Every held result was journaled on the stop, in plan order.
+        assert store.read_text().splitlines() == ref[1:]
+
+        monkeypatch.undo()
+        resumed = Campaign(self.SPECS, store=store)
+        assert resumed.run().executed == 1
+        resumed.write_summary(tmp_path / "resumed.summary")
+        # The resume appends the gap: same records, serial summary bytes.
+        assert sorted(store.read_text().splitlines()) == sorted(ref)
+        assert (tmp_path / "resumed.summary").read_bytes() == (
+            tmp_path / "serial.summary"
+        ).read_bytes()
 
 
 # ----------------------------------------------------------------------

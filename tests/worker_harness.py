@@ -16,6 +16,10 @@ Usage::
         with worker_fleet(tmp_path, count=2) as fleet:
             execute_remote(specs, fleet.endpoints, ...)
 
+:func:`thread_workers` serves in-thread workers instead, so a test can
+monkeypatch worker-side code (``repro.engine.remote._execute_chunk``)
+in its own process.
+
 All tests using this module must carry the ``daemon`` marker (see
 ``pytest.ini``), which arms a per-test SIGALRM timeout so a hung worker
 fails the test fast instead of hanging the run.
@@ -25,8 +29,10 @@ from __future__ import annotations
 
 import contextlib
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -126,3 +132,39 @@ def worker_fleet(
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.communicate(timeout=10)
+
+
+@contextlib.contextmanager
+def thread_workers(count: int = 1):
+    """Serve ``count`` in-thread workers, one session each, through
+    ``listen:127.0.0.1:0`` accept endpoints; yield the bound endpoints
+    (pass them as ``workers``)."""
+    from repro.engine import remote
+
+    def serve(port: int) -> None:
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=STARTUP_TIMEOUT
+            ) as sock:
+                sock.settimeout(None)
+                remote._serve_session(sock, None, None)
+        except (OSError, ValueError):
+            pass  # the coordinator hung up mid-session
+
+    endpoints, threads = [], []
+    for _ in range(count):
+        endpoint = remote.WorkerEndpoint.parse("listen:127.0.0.1:0")
+        endpoint.prepare()
+        thread = threading.Thread(
+            target=serve, args=(endpoint.port,), daemon=True
+        )
+        thread.start()
+        endpoints.append(endpoint)
+        threads.append(thread)
+    try:
+        yield endpoints
+    finally:
+        for endpoint in endpoints:
+            endpoint.close()
+        for thread in threads:
+            thread.join(timeout=SHUTDOWN_TIMEOUT)
