@@ -26,6 +26,7 @@ from repro.analysis.reporting import format_table
 from repro.engine.executor import execute_scenarios
 from repro.engine.scenarios import ScenarioSpec, termination_grid
 from repro.engine.store import canonical_line
+from tests.batch_harness import run_plan_uncompacted
 
 # A conservative floor vs the measured ~10x+ (batched over reference) so
 # a loaded CI box cannot flake the suite; BENCH_FASTPATH.json records the
@@ -223,9 +224,7 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
         total_ref = total_masked = total_batch = total_n = 0
         for label, specs in groups:
             reference = execute_scenarios(specs, backend="reference")
-            masked = execute_scenarios(
-                specs, backend="batched", compact=False
-            )
+            masked = run_plan_uncompacted(specs)
             compacted = execute_scenarios(specs, backend="batched")
             lines = [canonical_line(r) for r in reference]
             assert lines == [canonical_line(r) for r in masked]
@@ -233,11 +232,7 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
             ref_s = _best_of(
                 lambda: execute_scenarios(specs, backend="reference")
             )
-            masked_s = _best_of(
-                lambda: execute_scenarios(
-                    specs, backend="batched", compact=False
-                )
-            )
+            masked_s = _best_of(lambda: run_plan_uncompacted(specs))
             batch_s = _best_of(
                 lambda: execute_scenarios(specs, backend="batched")
             )

@@ -13,7 +13,8 @@
 # journal and summary against the serial unpacked batched run.
 # A final telemetry leg records a --metrics sidecar (schema-validated,
 # all four engine sections non-zero) and byte-compares the journal
-# against a metrics-off run.
+# against a metrics-off run.  The last leg runs every e2ebench workload
+# in trace mode and requires a correct, failure-free run.
 #
 # Usage: scripts/smoke.sh [extra pytest args...]
 
@@ -335,6 +336,29 @@ for i in 0 1; do
     }
 done
 echo "distributed journal+summary byte-identical to serial; workers drained: OK"
+
+echo
+echo "== e2ebench trace mode: every workload runs clean under the tracer =="
+# Trace mode wraps engine entry points by attribute name
+# (scheduler.plan_batches, scheduler.execute_scenario_batch,
+# backends.execute_scenario_batch, backends.simulate_fastpath_batch,
+# campaign.execute_scenarios, remote.execute_remote); a refactor that
+# moves one of them must fail here, not silently break the ledger.
+for workload in batched-serial served-mixed fleet-batched; do
+    python3 e2ebench/run.py --workload "$workload" --seed 0 --seconds 3 \
+        --trace 1 > "$workdir/e2e_$workload.out" \
+        2> "$workdir/e2e_$workload.err" || {
+        cat "$workdir/e2e_$workload.err" >&2
+        exit 1
+    }
+    tail -n 1 "$workdir/e2e_$workload.out" | python -c '
+import json, sys
+last = json.loads(sys.stdin.read())
+assert last["correct"] is True and last["failed"] == 0, {
+    k: v for k, v in last.items() if k != "metrics"}
+'
+    echo "e2ebench $workload (traced): OK"
+done
 
 echo
 python -m repro campaign status --store "$store" "${grid[@]}"

@@ -13,12 +13,14 @@ fleet-scale workload generator:
   immutable :class:`ScenarioSpec` values with stable content-hash ids.
 * :mod:`repro.engine.executor` — a **parallel executor**
   (:func:`execute_scenarios`) with a process-pool backend, a serial
-  fallback, chunked dispatch and per-chunk timeouts, plus the one
-  dispatch loop (:func:`~repro.engine.executor.dispatch`: retry and
-  backoff, split-to-singletons, fleet deadline, stop) that the pool and
-  the remote fleet share.  Results are deterministic regardless of
-  worker count: every scenario is a pure function of its spec, and
-  outputs are re-ordered into grid order.
+  fallback, chunked dispatch and per-chunk timeouts, one unit runner
+  (:func:`~repro.engine.executor.run_unit`) for the serial loop, pool
+  workers and fleet workers, plus the one dispatch loop
+  (:func:`~repro.engine.executor.dispatch`: retry and backoff,
+  split-to-singletons, fleet deadline, stop) that the pool and the
+  remote fleet share.  Results are deterministic regardless of worker
+  count: every scenario is a pure function of its spec, and outputs are
+  re-ordered into grid order.
 * :mod:`repro.engine.backends` — **execution backends**: the reference
   :class:`~repro.rounds.simulator.RoundSimulator` vs the mega-batched
   matrix fast path (:mod:`repro.rounds.fastpath`; a single scenario is
@@ -26,13 +28,15 @@ fleet-scale workload generator:
   backend={"reference","batched","auto"})``.  Metrics are identical
   across backends; ``auto`` falls back on :class:`FastPathUnsupported`
   and routes every batch-compatible scenario through the batch
-  scheduler's planned batches.
+  scheduler's planned batches.  :func:`execute_scenario_with_backend`
+  is the one per-scenario backend rule (family runners included).
 * :mod:`repro.engine.scheduler` — the **lane-compacting batch
   scheduler**: plans a whole campaign work list into packed tensor
   batches (global ``(n, round-budget bucket)`` grouping, memory-envelope
-  widths, kernel-level lane compaction + refill), ships whole planned
-  batches to pool workers, and derives ``campaign run`` progress
-  reporting (:class:`ProgressReporter`) from the plan.
+  widths, kernel-level lane compaction + refill), runs one planned
+  batch (:func:`~repro.engine.scheduler.run_planned_batch`), and derives
+  ``campaign run`` progress reporting (:class:`ProgressReporter`) from
+  the plan.
 * :mod:`repro.engine.store` — an append-only **JSONL result store**
   (:class:`ResultStore`) with a versioned codec and resume-by-hash.
 * :mod:`repro.engine.telemetry` — **engine telemetry**: a zero-cost-off

@@ -22,10 +22,17 @@ One scenario can be executed two ways:
   width from the batch's pending lanes.
 * ``"auto"`` — prefer the fast path, transparently fall back to the
   reference simulator (or the family runner) when the scenario is out
-  of its scope — one rule, :func:`execute_scenario_auto`.  On a work
-  list, ``auto`` routes every batch-compatible scenario through the
+  of its scope — :func:`execute_scenario_auto`.  On a work list,
+  ``auto`` routes every batch-compatible scenario through the
   scheduler's planned batches (singletons included, so provenance tags
   stay partition-independent).
+
+:func:`execute_scenario_with_backend` is the one per-scenario backend
+rule — family lookup, forced-``batched`` rejection, ``auto`` fallback —
+and every execution path runs its non-batch work through it
+(:func:`repro.engine.executor.run_unit`); :func:`_fast_scope` is the one
+check of what the fast path covers, shared by the rule, the batch layer
+and the scheduler's :func:`batch_compatible`.
 
 Both engines are *exactly equivalent* where they overlap: the fast path
 consumes bit-identical adversary schedules
@@ -139,60 +146,65 @@ def fastpath_supported(spec: ScenarioSpec) -> bool:
     return spec.algorithm in _FASTPATH_ALGORITHMS
 
 
-def _family_fast_result(spec: ScenarioSpec):
-    """The family-specific fast-twin result builder for a tagged spec.
+def checked_backend(backend: str) -> str:
+    """Validate a backend name once, at an execution entry point."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}"
+        )
+    return backend
 
-    ``None`` means the stock metric schema applies (untagged specs and
-    stock-runner families).  A tagged family whose custom runner has no
-    registered fast twin — or whose ``fast_supported`` predicate
-    excludes this particular spec (e.g. the ablation family's
-    invariant-hook arm) — raises :class:`FastPathUnsupported`, so a forced
-    ``batched`` backend reports it and ``auto`` falls back to the family
-    runner.
-    """
+
+def _family_of(spec: ScenarioSpec):
+    """The registered family of a ``family``-tagged spec (``None`` when
+    untagged); raises ``KeyError`` for an unknown family."""
     name = spec.opt("family")
     if name is None:
         return None
     from repro.engine.registry import get_family
 
-    family = get_family(name)
-    if family.runner is None:
-        return None
-    if family.fast_result is None:
+    return get_family(name)
+
+
+def _fast_scope(spec: ScenarioSpec):
+    """The one family-scope check: the result builder the fast path uses
+    for ``spec``, or :class:`FastPathUnsupported` when it is out of scope.
+
+    Untagged specs and stock-runner families build the stock metric
+    schema; a custom-runner family builds through its registered fast
+    twin.  A custom runner without a twin, an algorithm the kernels do
+    not cover, or a spec the twin's ``fast_supported`` predicate excludes
+    (e.g. the ablation family's invariant-hook arm) is out of scope — a
+    forced ``batched`` backend journals the error, ``auto`` falls back
+    to the family runner.  Unknown families raise ``KeyError``.
+    """
+    family = _family_of(spec)
+    custom = family is not None and family.runner is not None
+    if custom and family.fast_result is None:
         raise FastPathUnsupported(
-            f"family {name!r} runs only on the reference simulator"
+            f"family {family.name!r} runs only on the reference backend"
         )
+    if not fastpath_supported(spec):
+        raise FastPathUnsupported(
+            f"algorithm {spec.algorithm!r} has no fast path"
+        )
+    if not custom:
+        return _stock_result
     if family.fast_supported is not None and not family.fast_supported(spec):
         raise FastPathUnsupported(
-            f"scenario outside family {name!r}'s fast-path scope"
+            f"scenario outside family {family.name!r}'s fast-path scope"
         )
     return family.fast_result
 
 
 def batch_compatible(spec: ScenarioSpec) -> bool:
-    """Whether this spec can join a mega-batch.
-
-    True for fast-path-supported specs whose result schema the batch
-    layer knows how to build: the stock schema, or a registered family
-    fast twin (``ExperimentSpec.fast_result``) whose ``fast_supported``
-    predicate (if any) accepts the spec.
-    """
-    if not fastpath_supported(spec):
-        return False
-    name = spec.opt("family")
-    if name is None:
-        return True
-    from repro.engine.registry import get_family
-
+    """Whether this spec can join a mega-batch (:func:`_fast_scope`
+    accepts it)."""
     try:
-        family = get_family(name)
-    except KeyError:
+        _fast_scope(spec)
+    except (FastPathUnsupported, KeyError):
         return False
-    if family.runner is None:
-        return True
-    if family.fast_result is None:
-        return False
-    return family.fast_supported is None or family.fast_supported(spec)
+    return True
 
 
 def fastpath_decision_stats(
@@ -335,11 +347,7 @@ def execute_scenario_batch(
     tasks: list[FastPathTask] = []
     for pos, spec in enumerate(specs):
         try:
-            if not fastpath_supported(spec):
-                raise FastPathUnsupported(
-                    f"algorithm {spec.algorithm!r} has no fast path"
-                )
-            builder = _family_fast_result(spec) or _stock_result
+            builder = _fast_scope(spec)
             adversary = spec.build_adversary()
             tasks.append(_fastpath_task(spec, adversary))
             lanes.append((pos, spec, adversary, builder))
@@ -473,52 +481,82 @@ def _verify_lane_identity(
     )
 
 
+def _run_family_runner(family, spec: ScenarioSpec) -> ScenarioResult:
+    """A family's custom runner under the executor's isolation rules."""
+    try:
+        return family.runner(spec)
+    except ContractViolation as exc:
+        # A violated runtime contract means results can no longer be
+        # trusted: abort the run loudly instead of journaling an error
+        # record a resume would treat as settled.
+        raise exc.with_context(id=spec.scenario_id, seed=spec.seed)
+    except Exception as exc:  # noqa: BLE001 — isolation is the contract
+        return ScenarioResult.failure(spec, f"{type(exc).__name__}: {exc}")
+
+
+def _run_reference(spec: ScenarioSpec) -> ScenarioResult:
+    """The reference engine for one spec: its family's custom runner, or
+    the reference simulator."""
+    family = _family_of(spec)
+    if family is None or family.runner is None:
+        return execute_scenario(spec)
+    return _run_family_runner(family, spec)
+
+
 def execute_scenario_auto(
     spec: ScenarioSpec,
-    fallback: Callable[[ScenarioSpec], ScenarioResult] = execute_scenario,
     recorder=None,
     result: ScenarioResult | None = None,
 ) -> ScenarioResult:
     """The ``auto`` rule, in one place: prefer the fast path, and re-run
-    the scenario on ``fallback`` (the reference simulator, or a family's
-    runner) when the fast path reports it unsupported.
+    the scenario on the reference engine (the spec's family runner or
+    the reference simulator) when the fast path reports it unsupported.
 
     ``result`` is the scenario's record from an already-run batch (the
     scheduler's planned batches).  Without it the spec is checked with
     :func:`batch_compatible` first — an out-of-scope spec goes straight
-    to ``fallback`` without building anything — and then runs as a
-    one-lane batch.
+    to the reference engine without building anything — and then runs
+    as a one-lane batch.
     """
     if result is None:
         if not batch_compatible(spec):
-            return fallback(spec)
+            return _run_reference(spec)
         result = execute_scenario_batch([spec], recorder=recorder)[0]
     if (
         result.status == STATUS_ERROR
         and result.error is not None
         and result.error.startswith(UNSUPPORTED_PREFIX)
     ):
-        return fallback(spec)
+        return _run_reference(spec)
     return result
 
 
 def execute_scenario_with_backend(
     spec: ScenarioSpec, backend: str = BACKEND_REFERENCE, recorder=None
 ) -> ScenarioResult:
-    """Dispatch one scenario to a backend (the executor's worker kernel).
+    """Run one scenario on a backend: the one per-scenario backend rule.
 
-    ``"auto"`` prefers the fast path and silently falls back to the
-    reference simulator (:func:`execute_scenario_auto`).  A *forced*
-    ``"batched"`` backend instead reports unsupported scenarios as
-    ``"error"`` results — an explicit choice must not silently execute
-    on a different engine.  Either way a single scenario runs as a
-    one-lane batch, tagged ``"batched"`` so provenance does not depend
-    on grouping.
+    Every execution path (serial, pool, fleet) runs its non-batch work
+    through here, so this record is exactly the one a campaign journals.
+    A ``family``-tagged spec executes its registered family's runner
+    (the family travels as a name, so this works in any process); an
+    unknown family becomes an ``"error"`` record.  ``"reference"`` runs
+    the family runner or the reference simulator.  ``"batched"`` runs a
+    one-lane batch and reports an out-of-scope spec (see
+    :func:`_fast_scope`) as a ``FastPathUnsupported`` error — an
+    explicit choice must not silently execute on a different engine.
+    ``"auto"`` prefers the fast path and falls back to the reference
+    engine (:func:`execute_scenario_auto`).  Fast-path results are
+    tagged ``"batched"`` whatever the grouping.  ``recorder`` reaches
+    only the fast-path kernels.
     """
+    checked_backend(backend)
+    try:
+        _family_of(spec)
+    except KeyError as exc:
+        return ScenarioResult.failure(spec, str(exc), backend=backend)
     if backend == BACKEND_REFERENCE:
-        return execute_scenario(spec)
+        return _run_reference(spec)
     if backend == BACKEND_BATCHED:
         return execute_scenario_batch([spec], recorder=recorder)[0]
-    if backend == BACKEND_AUTO:
-        return execute_scenario_auto(spec, recorder=recorder)
-    raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
+    return execute_scenario_auto(spec, recorder=recorder)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.analysis.reporting import format_table
-from repro.engine.backends import BACKENDS
+from repro.engine.backends import checked_backend
 from repro.engine.executor import (
     STATUS_ERROR,
     STATUS_OK,
@@ -184,15 +184,6 @@ def _report_row(result: ScenarioResult) -> list:
     ]
 
 
-def _checked_backend(backend: str) -> str:
-    """``backend``, or :class:`ValueError` naming the known ones."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}"
-        )
-    return backend
-
-
 class Campaign:
     """A resumable ensemble of scenarios over one result store.
 
@@ -260,7 +251,7 @@ class Campaign:
         )
         self.jobs = jobs
         self.timeout = timeout
-        self.backend = _checked_backend(backend)
+        self.backend = checked_backend(backend)
         self.batch_memory = batch_memory
         self.pack_widths = pack_widths
         self.label = label
@@ -363,7 +354,7 @@ class Campaign:
             rec.inc("store.resume_hits", len(self.specs) - len(todo))
 
         resolved_backend = (
-            self.backend if backend is None else _checked_backend(backend)
+            self.backend if backend is None else checked_backend(backend)
         )
         resolved_jobs = self.jobs if jobs is None else jobs
         # One plan serves both the progress reporter and the executor,

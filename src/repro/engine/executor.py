@@ -7,12 +7,16 @@ That purity is what parallel dispatch leans on — results arrive in
 completion order but return in submission order, so a campaign's
 output is deterministic regardless of ``jobs``.
 
-:func:`execute_scenarios` runs serially (``jobs <= 1``, no ``timeout``,
-no shared pool: a plain streaming loop, no pickling) or on a process
-pool.  Pool dispatch units are the scheduler's planned batches under the
-``batched``/``auto`` backends (so chunking cannot break a batch — see
-:mod:`repro.engine.scheduler`) and contiguous order-chunks otherwise;
-results are delivered in completion order.
+:func:`execute_scenarios` plans its work list into dispatch units once
+(:func:`_plan_units`: the scheduler's planned batches under the
+``batched``/``auto`` backends, so chunking cannot break a batch — see
+:mod:`repro.engine.scheduler` — and contiguous order-chunks otherwise)
+and runs every unit through one runner, :func:`run_unit`: in-process on
+the serial path (``jobs <= 1``, no ``timeout``, no shared pool: a
+streaming loop, one scenario per chunk, no pickling) or in pool workers
+(:func:`_execute_unit`), delivered in completion order.  A scenario
+outside a planned batch runs through the one per-scenario backend rule,
+:func:`repro.engine.backends.execute_scenario_with_backend`.
 
 The pool and the remote fleet (:mod:`repro.engine.remote`) share one
 :func:`dispatch` loop and so one failure policy.  A scenario that raises
@@ -205,62 +209,6 @@ def execute_scenario(spec: ScenarioSpec) -> ScenarioResult:
 # ----------------------------------------------------------------------
 # Parallel dispatch
 # ----------------------------------------------------------------------
-IndexedSpec = tuple[int, ScenarioSpec]
-
-
-def _run_one(
-    spec: ScenarioSpec, backend: str, recorder=None
-) -> ScenarioResult:
-    """Execute one scenario on the requested backend.
-
-    Specs carrying a ``family`` option belong to a registered experiment
-    family and dispatch through :mod:`repro.engine.registry` (which may
-    supply a custom per-scenario runner).  The common plain
-    ``"reference"`` case stays import-free; other paths resolve lazily
-    (those modules import this one, so the imports must not be circular
-    at load time).
-    """
-    _faults.before_scenario(spec)
-    if spec.opt("family") is not None:
-        from repro.engine.registry import run_registered_scenario
-
-        return run_registered_scenario(spec, backend, recorder=recorder)
-    if backend == "reference":
-        return execute_scenario(spec)
-    from repro.engine.backends import execute_scenario_with_backend
-
-    return execute_scenario_with_backend(spec, backend, recorder=recorder)
-
-
-def _iter_chunk(
-    chunk: Sequence[IndexedSpec],
-    backend: str,
-    batch_memory: int | None = None,
-    compact: bool = True,
-    pack_widths: bool = False,
-    recorder=None,
-) -> Iterable[tuple[int, ScenarioResult]]:
-    """Yield one work list's results, tagged with their input indices.
-
-    The ``batched`` and ``auto`` backends route through the batch
-    scheduler (:func:`repro.engine.scheduler.iter_planned`), which packs
-    batch-compatible specs into planned lane-compacting batches — yield
-    order is plan order there, input order otherwise; every result
-    carries its index, and journal record bytes are a pure function of
-    the spec, so consumers are order-agnostic.
-    """
-    if backend in ("batched", "auto"):
-        from repro.engine.scheduler import iter_planned
-
-        yield from iter_planned(
-            chunk, backend, batch_memory=batch_memory, compact=compact,
-            pack_widths=pack_widths, recorder=recorder,
-        )
-        return
-    for idx, spec in chunk:
-        yield idx, _run_one(spec, backend, recorder=recorder)
-
-
 def _split_payload(payload):
     """``(payload, meta)`` from a worker return value.
 
@@ -275,63 +223,6 @@ def _split_payload(payload):
     ):
         return payload
     return payload, None
-
-
-def _collecting(run: Callable, items: Sequence, collect: bool) -> Any:
-    """Run a worker entry point's body, ``run(recorder)``.
-
-    With ``collect`` the worker builds its own
-    :class:`~repro.engine.telemetry.Recorder` and returns
-    ``(payload, meta)`` — pid, busy seconds and a metrics snapshot —
-    for the parent to merge; otherwise the bare payload (so existing
-    callers and test doubles see the historical shape).
-    """
-    if not collect:
-        return run(None)
-    recorder = Recorder()
-    t0 = time.perf_counter()
-    payload = run(recorder)
-    if _faults.drop_worker_meta(items):
-        return payload
-    return payload, {
-        "pid": os.getpid(),
-        "busy_s": time.perf_counter() - t0,
-        "snapshot": recorder.snapshot(),
-    }
-
-
-def _execute_chunk(
-    chunk: Sequence[IndexedSpec],
-    backend: str = "reference",
-    collect_metrics: bool = False,
-) -> Any:
-    """Worker entry point: run one slice of the grid (per-scenario
-    backends, the scheduler's non-batchable singles, split singletons).
-    ``collect_metrics``: see :func:`_collecting`."""
-    return _collecting(
-        lambda recorder: list(_iter_chunk(chunk, backend, recorder=recorder)),
-        chunk, collect_metrics,
-    )
-
-
-def _execute_planned(
-    batch,
-    backend: str = "batched",
-    compact: bool = True,
-    collect_metrics: bool = False,
-) -> Any:
-    """Worker entry point: run one whole planned batch, so chunking can
-    never break a batch.  ``collect_metrics``: see :func:`_collecting`."""
-    from repro.engine.scheduler import run_planned_batch
-
-    for _idx, spec in batch.items:
-        _faults.before_scenario(spec)
-    return _collecting(
-        lambda recorder: run_planned_batch(
-            batch, backend, compact=compact, recorder=recorder
-        ),
-        batch.items, collect_metrics,
-    )
 
 
 def _count_result(recorder, result: ScenarioResult) -> None:
@@ -548,11 +439,16 @@ def _plan_units(
     batch_memory: int | None = None,
     pack_widths: bool = False,
     recorder=None,
+    plan_jobs: int | None = None,
 ) -> list[_Unit]:
-    """The dispatch units, in plan order.  Under the batched/auto
-    backends the scheduler's whole planned batches ship (chunking must
-    not break a batch), then the plan's non-batchable singles as
-    contiguous order-chunks; other backends chunk the whole list."""
+    """The dispatch units, in plan order — the one place a work list is
+    planned when no ``plan`` is passed.  Under the batched/auto backends
+    the scheduler's whole planned batches ship (chunking must not break
+    a batch), then the plan's non-batchable singles as contiguous
+    order-chunks; other backends chunk the whole list.  Default chunk
+    sizes spread over ``jobs`` workers; the plan is cut for
+    ``plan_jobs`` (default ``jobs``; the fleet plans serially and
+    pre-splits instead)."""
     units: list[_Unit] = []
     chunked = indexed
     if backend in ("batched", "auto"):
@@ -560,7 +456,8 @@ def _plan_units(
             from repro.engine.scheduler import plan_batches
 
             plan = plan_batches(
-                indexed, batch_memory=batch_memory, jobs=jobs,
+                indexed, batch_memory=batch_memory,
+                jobs=jobs if plan_jobs is None else plan_jobs,
                 pack_widths=pack_widths, recorder=recorder,
             )
         units = [_Unit(list(batch.items), batch) for batch in plan.batches]
@@ -568,6 +465,58 @@ def _plan_units(
     size = chunksize or default_chunksize(len(chunked), jobs)
     units += [_Unit(chunked[i:i + size]) for i in range(0, len(chunked), size)]
     return units
+
+
+def run_unit(
+    unit: _Unit, backend: str, recorder=None
+) -> list[tuple[int, ScenarioResult]]:
+    """Run one dispatch unit; returns ``(work-list index, result)`` pairs.
+
+    The one unit runner of the serial loop, the pool worker and the
+    fleet worker (:func:`_execute_unit`).  A planned batch runs through
+    :func:`~repro.engine.scheduler.run_planned_batch`; any other unit
+    runs each scenario through the one per-scenario backend rule,
+    :func:`~repro.engine.backends.execute_scenario_with_backend`.  The
+    fault hook fires exactly once per scenario, before any of the unit
+    runs.
+    """
+    for _idx, spec in unit.items:
+        _faults.before_scenario(spec)
+    if unit.batch is not None:
+        from repro.engine.scheduler import run_planned_batch
+
+        return run_planned_batch(unit.batch, backend, recorder=recorder)
+    from repro.engine.backends import execute_scenario_with_backend
+
+    return [
+        (idx, execute_scenario_with_backend(spec, backend, recorder))
+        for idx, spec in unit.items
+    ]
+
+
+def _execute_unit(
+    unit: _Unit, backend: str, collect_metrics: bool = False
+) -> Any:
+    """Worker entry point (pool and fleet): :func:`run_unit`.
+
+    With ``collect_metrics`` the worker builds its own
+    :class:`~repro.engine.telemetry.Recorder` and returns
+    ``(payload, meta)`` — pid, busy seconds and a metrics snapshot —
+    for the parent to merge; otherwise the bare payload (so test
+    doubles see one shape).
+    """
+    if not collect_metrics:
+        return run_unit(unit, backend)
+    recorder = Recorder()
+    t0 = time.perf_counter()
+    payload = run_unit(unit, backend, recorder)
+    if _faults.drop_worker_meta(unit.items):
+        return payload
+    return payload, {
+        "pid": os.getpid(),
+        "busy_s": time.perf_counter() - t0,
+        "snapshot": recorder.snapshot(),
+    }
 
 
 class _Outcome(NamedTuple):
@@ -619,11 +568,13 @@ def dispatch(
     and ``info(stats)`` (per-worker rows).
 
     A multi-scenario unit whose slot died while running it re-runs as
-    singletons, so only a deterministic killer fails; other retriable
-    failures and deadline expiry requeue the whole unit; terminal
-    failures (:func:`_terminal_failure`) are not retried, and a spent
-    budget journals the failure.  Results reach ``deliver`` as each unit
-    completes and come back in index order.
+    singletons, each a new unit with the full retry budget (as if
+    dispatched alone), so only a deterministic killer fails; a unit
+    still queued in a broken pool requeues without using its budget;
+    other retriable failures and deadline expiry requeue the whole
+    unit; terminal failures (:func:`_terminal_failure`) are not
+    retried, and a spent budget journals the failure.  Results reach
+    ``deliver`` as each unit completes and come back in index order.
     """
     total = sum(len(unit.items) for unit in units)
     window = (
@@ -656,8 +607,9 @@ def dispatch(
         ])
 
     def requeue(unit: _Unit, attempts: int) -> None:
-        delay = retry_delay(unit.key(), attempts + 1)
-        work.append((unit, attempts + 1, time.monotonic() + delay))
+        # ``attempts``: the unit's failures so far, against max_retries.
+        delay = retry_delay(unit.key(), max(1, attempts))
+        work.append((unit, attempts, time.monotonic() + delay))
         if recorder:
             recorder.vinc(slots.RETRIES)
 
@@ -724,12 +676,20 @@ def dispatch(
                 # The slot died without naming the guilty scenario.
                 # Safe for planned batches too: results are tagged by
                 # backend, not by grouping, so journal bytes match.
+                # A pool break also fails the innocent units running
+                # beside the dead worker: a fresh budget keeps once-only
+                # deaths of later singletons from spending theirs twice.
                 for item in unit.items:
-                    requeue(_Unit([item]), attempts)
+                    requeue(_Unit([item]), 0)
                 if recorder:
                     recorder.vinc(f"{slots.PREFIX}.singleton_splits")
-            else:
+            elif out.lost and not out.was_running:
+                # Still queued when the pool broke: it never ran, so the
+                # break charges it nothing (the rebuild budget bounds
+                # how often a pool may break).
                 requeue(unit, attempts)
+            else:
+                requeue(unit, attempts + 1)
         if pending and deadline is not None and time.monotonic() > deadline:
             # Fleet deadline: every unit still out expires together and
             # its slots are killed; with retries left it re-enters the
@@ -739,7 +699,7 @@ def dispatch(
             pending.clear()
             for unit, attempts, _submit_t in expired:
                 if attempts < max_retries:
-                    requeue(unit, attempts)
+                    requeue(unit, attempts + 1)
                 else:
                     fail(unit, f"no result within {window:.1f}s")
             if any(attempts < max_retries for _u, attempts, _t in expired):
@@ -896,7 +856,6 @@ def execute_scenarios(
     on_result: Callable[[ScenarioResult], Any] | None = None,
     backend: str = "reference",
     batch_memory: int | None = None,
-    compact: bool = True,
     pack_widths: bool = False,
     plan=None,
     recorder=None,
@@ -937,10 +896,6 @@ def execute_scenarios(
         Per-batch memory envelope in bytes for the batched/auto
         backends (``None``: the built-in budget) — a pure packing knob,
         results and journal bytes are identical whatever the envelope.
-    compact:
-        Whether the batch kernel compacts live lanes as batchmates
-        retire (diagnostic toggle for the differential suite and the
-        fast-path benchmark; results are bit-identical either way).
     pack_widths:
         Cross-``n`` packing for the batched/auto backends when the plan
         is computed *here* (``plan=None``): mixed-``n`` grids batch into
@@ -986,56 +941,22 @@ def execute_scenarios(
     -------
     Results in the same order as ``specs``, independent of ``jobs``.
     """
+    from repro.engine.backends import checked_backend
+
+    checked_backend(backend)
     spec_list = list(specs)
     if not spec_list:
         return []
-    if (jobs <= 1 or len(spec_list) <= 1) and timeout is None and pool is None:
-        # The serial path streams through the same kernels the pool
-        # workers use, so the batched/auto backends run the scheduler's
-        # planned batches here too; results are re-sorted into grid
-        # order (they journal in plan order).
-        results: list = [None] * len(spec_list)
-        if backend in ("batched", "auto") and plan is not None:
-            from repro.engine.scheduler import iter_plan
-
-            streamed = iter_plan(
-                plan, backend, compact=compact, recorder=recorder
-            )
-        else:
-            streamed = _iter_chunk(
-                list(enumerate(spec_list)),
-                backend,
-                batch_memory=batch_memory,
-                compact=compact,
-                pack_widths=pack_widths,
-                recorder=recorder,
-            )
-        for idx, result in streamed:
-            if recorder:
-                _count_result(recorder, result)
-            if on_result is not None:
-                on_result(result)
-            results[idx] = result
-            if should_stop is not None and should_stop():
-                raise ExecutionStopped("run interrupted by shutdown signal")
-        return results
-
-    indexed = list(enumerate(spec_list))
-    jobs = max(1, jobs)
-    units = _plan_units(
-        indexed, backend, chunksize, jobs, plan, batch_memory, pack_widths,
-        recorder,
+    serial = (
+        (jobs <= 1 or len(spec_list) <= 1) and timeout is None and pool is None
     )
-    workers = min(jobs, len(units))
-    # The collect flag is appended only when metrics are on, so the
-    # worker-call shape (and every monkeypatched test double) is
-    # untouched on the default path.
-    collect: tuple = (True,) if recorder else ()
-
-    def call(unit: _Unit) -> tuple:
-        if unit.batch is not None:
-            return (_execute_planned, unit.batch, backend, compact) + collect
-        return (_execute_chunk, unit.items, backend) + collect
+    jobs = 1 if serial else max(1, jobs)
+    # Serial units stream: one scenario per order-chunk, a planned batch
+    # whole.  Results journal in plan order and return in grid order.
+    units = _plan_units(
+        list(enumerate(spec_list)), backend, 1 if serial else chunksize,
+        jobs, plan, batch_memory, pack_widths, recorder,
+    )
 
     def deliver(pairs: list) -> None:
         # Completion order: a slow unit must not hold back the
@@ -1043,8 +964,31 @@ def execute_scenarios(
         for _idx, result in pairs:
             on_result(result)
 
+    if serial:
+        results: list = [None] * len(spec_list)
+        for unit in units:
+            pairs = run_unit(unit, backend, recorder)
+            for idx, result in pairs:
+                if recorder:
+                    _count_result(recorder, result)
+                results[idx] = result
+            if on_result is not None:
+                deliver(pairs)
+            if should_stop is not None and should_stop():
+                raise ExecutionStopped("run interrupted by shutdown signal")
+        return results
+
+    workers = min(jobs, len(units))
+    # The collect flag is appended only when metrics are on, so the
+    # worker-call shape (and every monkeypatched test double) is
+    # untouched on the default path.
+    collect: tuple = (True,) if recorder else ()
+
     max_retries = max(0, max_retries)
-    with _PoolSlots(pool, workers, call, 2 * max_retries + 2, recorder) as slots:
+    with _PoolSlots(
+        pool, workers, lambda unit: (_execute_unit, unit, backend) + collect,
+        2 * max_retries + 2, recorder,
+    ) as slots:
         results = dispatch(
             units, slots, backend=backend, timeout=timeout,
             max_retries=max_retries, should_stop=should_stop,

@@ -24,8 +24,9 @@ How a family plugs in
 * A family with a **custom runner** (per-scenario logic beyond the stock
   :func:`~repro.engine.executor.execute_scenario` — invariant hooks,
   structural-only analysis, extra report fields) tags its specs with a
-  ``family`` option.  The executor's worker kernel sees the tag and
-  dispatches back here (:func:`run_registered_scenario`), so custom
+  ``family`` option.  The one per-scenario backend rule
+  (:func:`repro.engine.backends.execute_scenario_with_backend`) sees the
+  tag and looks the family up here (:func:`get_family`), so custom
   runners work across process boundaries: the *spec* travels, the runner
   is looked up by name on the worker.  Family-specific metrics ride in
   ``ScenarioResult.extras``.
@@ -42,15 +43,13 @@ pre-importing :mod:`repro.experiments.duality`.
 
 from __future__ import annotations
 
-import functools
 import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.engine.aggregate import AggregateTable
-from repro.engine.contracts import ContractViolation
-from repro.engine.executor import ScenarioResult, execute_scenario
+from repro.engine.executor import ScenarioResult
 from repro.engine.scenarios import ScenarioSpec
 
 #: ``params -> specs``: a declarative grid builder.  ``params`` is a plain
@@ -232,69 +231,6 @@ def get_family(name: str) -> ExperimentSpec:
             f"unknown experiment family {name!r}; "
             f"known: {sorted(_REGISTRY)}"
         ) from None
-
-
-# ----------------------------------------------------------------------
-# Worker-side dispatch
-# ----------------------------------------------------------------------
-def run_registered_scenario(
-    spec: ScenarioSpec, backend: str, recorder=None
-) -> ScenarioResult:
-    """Execute one family-tagged scenario (the executor's worker kernel
-    for specs carrying a ``family`` option).
-
-    Never raises: unknown families and runner crashes become terminal
-    ``"error"`` results, preserving the executor's isolation contract.
-    The reference-simulator paths are uninstrumented; ``recorder``
-    reaches only the fast-path kernels.
-    """
-    try:
-        family = get_family(spec.opt("family"))
-    except KeyError as exc:
-        return ScenarioResult.failure(spec, str(exc), backend=backend)
-    if family.runner is None:
-        # Stock runner: honor the backend choice like any other spec.
-        if backend == "reference":
-            return execute_scenario(spec)
-        from repro.engine.backends import execute_scenario_with_backend
-
-        return execute_scenario_with_backend(spec, backend, recorder=recorder)
-    if backend == "batched":
-        if family.fast_result is None:
-            # A forced fast-path request must not silently execute the
-            # family's bespoke reference-only logic.
-            return ScenarioResult.failure(
-                spec,
-                f"FastPathUnsupported: family {family.name!r} runs only "
-                "on the reference backend",
-                backend=backend,
-            )
-        # The family registered a fast-path twin of its runner (it
-        # builds the runner's exact result record from a FastPathRun).
-        from repro.engine.backends import execute_scenario_batch
-
-        return execute_scenario_batch([spec], recorder=recorder)[0]
-    if backend == "auto" and family.fast_result is not None:
-        from repro.engine.backends import execute_scenario_auto
-
-        fallback = functools.partial(_run_family_runner, family)
-        return execute_scenario_auto(spec, fallback, recorder=recorder)
-    return _run_family_runner(family, spec)
-
-
-def _run_family_runner(
-    family: ExperimentSpec, spec: ScenarioSpec
-) -> ScenarioResult:
-    """A family's custom runner under the executor's isolation rules."""
-    try:
-        return family.runner(spec)
-    except ContractViolation as exc:
-        # A violated runtime contract means results can no longer be
-        # trusted: abort the run loudly instead of journaling an error
-        # record a resume would treat as settled.
-        raise exc.with_context(id=spec.scenario_id, seed=spec.seed)
-    except Exception as exc:  # noqa: BLE001 — isolation is the contract
-        return ScenarioResult.failure(spec, f"{type(exc).__name__}: {exc}")
 
 
 # ----------------------------------------------------------------------

@@ -22,12 +22,16 @@ worker over ssh with ``--connect`` back to the coordinator) is a drop-in:
 
 Protocol (coordinator → worker): ``setup`` (shipped environment —
 contracts and fault plan — and the metrics-collect flag), then
-``unit`` messages (a whole planned batch, or an order-chunk for plan
-singles and non-batched backends), then ``shutdown``.  Worker →
-coordinator: ``hello`` on connect, then one ``result`` or ``error`` per
-unit.  Results travel as journal *records* (the canonical encoded result
-plus the producing backend — :func:`repro.engine.store.journal_record`),
-so the wire carries exactly what the journal stores.
+``unit`` messages (``kind``, ``items``, ``backend``; a whole planned
+batch adds its ``n``/``bucket``/``width``, an order-chunk carries plan
+singles and non-batched backends), then ``shutdown``.  The worker runs
+each unit through the pool's worker entry point, so through the one
+unit runner (:func:`repro.engine.executor.run_unit`) a pool process or
+the serial loop uses.  Worker → coordinator: ``hello`` on connect, then
+one ``result`` or ``error`` per unit.  Results travel as journal
+*records* (the canonical encoded result plus the producing backend —
+:func:`repro.engine.store.journal_record`), so the wire carries exactly
+what the journal stores.
 
 Determinism
 -----------
@@ -75,6 +79,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.engine.backends import checked_backend
 from repro.engine.contracts import (
     CONTRACTS_ENV,
     ContractViolation,
@@ -84,8 +89,7 @@ from repro.engine.executor import (
     ExecutionStopped,
     ScenarioResult,
     _drain,
-    _execute_chunk,
-    _execute_planned,
+    _execute_unit,
     _Outcome,
     _plan_units as _plan_dispatch_units,
     _split_payload,
@@ -308,8 +312,9 @@ def _run_unit(msg: dict, collect: bool) -> dict:
     scenario/unit failures — only :class:`ContractViolation` style
     aborts surface as fatal ``error`` replies)."""
     unit_id = msg.get("id")
-    backend = msg.get("backend", "batched")
     try:
+        items = _decode_items(msg["items"])
+        batch = None
         if msg.get("kind") == "batch":
             from repro.engine.scheduler import PlannedBatch
 
@@ -317,14 +322,11 @@ def _run_unit(msg: dict, collect: bool) -> dict:
                 n=int(msg["n"]),
                 bucket=int(msg["bucket"]),
                 width=int(msg["width"]),
-                items=tuple(_decode_items(msg["items"])),
+                items=tuple(items),
             )
-            payload = _execute_planned(
-                batch, backend, bool(msg.get("compact", True)), collect
-            )
-        else:
-            chunk = _decode_items(msg["items"])
-            payload = _execute_chunk(chunk, backend, collect)
+        payload = _execute_unit(
+            _Unit(items, batch), msg.get("backend", "batched"), collect
+        )
     except ContractViolation as exc:
         return {
             "type": "error",
@@ -683,24 +685,21 @@ def _plan_units(
     fleet: int,
     recorder,
 ) -> list[_Unit]:
-    """The dispatch units, in canonical plan order.
+    """The executor's dispatch units, pre-split for the fleet.
 
-    Batched/auto backends ship whole planned batches (planned with
-    ``jobs=1`` so the plan — and the journal order — matches the serial
-    single-host run exactly); plan singles and other backends ship as
-    contiguous order-chunks.  Large batches are pre-split at their
-    deterministic midpoints until the fleet has work for every worker —
-    splits replace a unit in place, so plan-order coverage is preserved
-    (the sampled ``scheduler.split_partition`` contract checks the cut).
+    Planned with ``jobs=1`` so the plan — and the journal order —
+    matches the serial single-host run exactly; default chunk sizes
+    spread the plan singles over the fleet.  Large batches are then pre-split at their deterministic
+    midpoints until the fleet has work for every worker — splits replace
+    a unit in place, so plan-order coverage is preserved (the sampled
+    ``scheduler.split_partition`` contract checks the cut).
     """
-    from repro.engine.scheduler import can_split, plan_batches, split_planned
+    from repro.engine.scheduler import can_split, split_planned
 
-    if plan is None and backend in ("batched", "auto"):
-        plan = plan_batches(
-            indexed, batch_memory=batch_memory, jobs=1,
-            pack_widths=pack_widths, recorder=recorder,
-        )
-    units = _plan_dispatch_units(indexed, backend, chunksize, fleet, plan)
+    units = _plan_dispatch_units(
+        indexed, backend, chunksize, fleet, plan, batch_memory, pack_widths,
+        recorder, plan_jobs=1,
+    )
     while len(units) < fleet:
         splittable = [
             i for i, unit in enumerate(units)
@@ -722,7 +721,7 @@ def _plan_units(
     return units
 
 
-def _unit_msg(unit: _Unit, unit_id: str, backend: str, compact: bool) -> dict:
+def _unit_msg(unit: _Unit, unit_id: str, backend: str) -> dict:
     msg = {
         "type": "unit",
         "kind": unit.kind,
@@ -732,8 +731,7 @@ def _unit_msg(unit: _Unit, unit_id: str, backend: str, compact: bool) -> dict:
     }
     if unit.batch is not None:
         batch = unit.batch
-        msg.update(n=batch.n, bucket=batch.bucket, width=batch.width,
-                   compact=compact)
+        msg.update(n=batch.n, bucket=batch.bucket, width=batch.width)
     return msg
 
 
@@ -754,11 +752,10 @@ class _Fleet:
     PREFIX = "remote"
     RETRIES = "remote.batches_requeued"
 
-    def __init__(self, endpoints, setup, connect_timeout, backend, compact,
+    def __init__(self, endpoints, setup, connect_timeout, backend,
                  shard_base, recorder) -> None:
         self.endpoints = endpoints
         self.backend = backend
-        self.compact = compact
         self.shard_base = shard_base
         self.recorder = recorder
         self.inbox: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
@@ -799,7 +796,7 @@ class _Fleet:
             if link.closed or link.inflight is not None:
                 continue
             self.sent += 1
-            msg = _unit_msg(unit, f"u{self.sent}", self.backend, self.compact)
+            msg = _unit_msg(unit, f"u{self.sent}", self.backend)
             try:
                 link.send(msg)
             except (OSError, ValueError):
@@ -913,7 +910,6 @@ def execute_remote(
     on_result: Callable[[ScenarioResult], Any] | None = None,
     backend: str = "batched",
     batch_memory: int | None = None,
-    compact: bool = True,
     pack_widths: bool = False,
     plan=None,
     recorder=None,
@@ -936,6 +932,7 @@ def execute_remote(
     per-worker shard files for crash-resume via :func:`absorb_shards`.
     Returns results in ``specs`` order.
     """
+    checked_backend(backend)
     spec_list = list(specs)
     if not spec_list:
         return []
@@ -967,8 +964,8 @@ def execute_remote(
         "env": {k: os.environ[k] for k in SHIPPED_ENV if k in os.environ},
         "collect": bool(recorder),
     }
-    fleet = _Fleet(endpoints, setup, connect_timeout, backend, compact,
-                   shard_base, recorder)
+    fleet = _Fleet(endpoints, setup, connect_timeout, backend, shard_base,
+                   recorder)
     with contextlib.closing(fleet):
         try:
             results = dispatch(

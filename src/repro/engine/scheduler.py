@@ -27,15 +27,16 @@ execution:
   compressed out and freed width is refilled from the batch's pending
   lanes — see :func:`~repro.rounds.fastpath.simulate_fastpath_batch`),
   preserving the ``auto`` backend's transparent per-lane fallback.
-* the executor ships whole planned batches to pool workers
-  (:func:`repro.engine.executor.execute_scenarios`), so pool chunking
-  can no longer break batches.
+* every execution path — the serial loop, a pool worker, a fleet
+  worker — runs a planned batch as one unit
+  (:func:`repro.engine.executor.run_unit`), so chunking can never break
+  a batch.
 
 Every mapping back to journal order is by work-list index: results are
 re-sorted into grid order by the executor and journal record *bytes* are
 a pure function of the spec, so store bytes are invariant under batch
-partitioning, compaction on/off and ``--jobs`` (the differential suite
-pins this).
+partitioning, kernel compaction on/off and ``--jobs`` (the differential
+suite pins this).
 
 :class:`ProgressReporter` is the campaign-progress face of the plan:
 ``campaign run`` derives completed/total, scenarios/s, batches
@@ -45,16 +46,14 @@ summaries stay byte-identical.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from repro.engine.backends import (
     BACKEND_AUTO,
-    BACKEND_REFERENCE,
     batch_compatible,
     execute_scenario_auto,
     execute_scenario_batch,
@@ -331,82 +330,36 @@ def plan_batches(
 
 
 @contract(
-    post=lambda result, batch, backend, compact=True, recorder=None: (
+    post=lambda result, batch, backend, recorder=None: (
         [idx for idx, _ in result] == [idx for idx, _ in batch.items]
     )
 )
 def run_planned_batch(
-    batch: PlannedBatch, backend: str, compact: bool = True, recorder=None
+    batch: PlannedBatch, backend: str, recorder=None
 ) -> list[tuple[int, ScenarioResult]]:
     """Execute one planned batch; returns ``(work-list index, result)``.
 
     The kernel runs ``batch.width`` concurrent lanes with compaction on,
     refilling freed width from the batch's own pending lanes.  Under
     ``"auto"`` a lane the fast path turns out not to cover re-runs on
-    the reference simulator (or its family runner) by the one ``auto``
-    rule, :func:`~repro.engine.backends.execute_scenario_auto`, instead
-    of surfacing a forced-backend error.
+    the reference engine (its family runner or the reference simulator)
+    by the one ``auto`` rule,
+    :func:`~repro.engine.backends.execute_scenario_auto`, instead of
+    surfacing a forced-backend error.
     """
-    from repro.engine.executor import _run_one
-
     specs = [spec for _, spec in batch.items]
     results = execute_scenario_batch(
-        specs, width=batch.width, compact=compact, recorder=recorder
+        specs, width=batch.width, recorder=recorder
     )
     if backend == BACKEND_AUTO:
-        fallback = functools.partial(_run_one, backend=BACKEND_REFERENCE)
         results = [
-            execute_scenario_auto(spec, fallback, result=result)
+            execute_scenario_auto(spec, result=result)
             for spec, result in zip(specs, results)
         ]
     return [
         (idx, result)
         for (idx, _), result in zip(batch.items, results)
     ]
-
-
-def iter_plan(
-    plan: BatchPlan, backend: str, compact: bool = True, recorder=None
-) -> Iterator[tuple[int, ScenarioResult]]:
-    """Execute an already-computed plan, yielding ``(index, result)``.
-
-    The serial face of the scheduler (the pool path ships the same
-    planned batches to workers instead).  Yield order is plan order —
-    batches first, then singles — but every result carries its work-list
-    index, and journal record bytes are a pure function of the spec, so
-    consumers that need grid order re-sort by index and summaries stay
-    byte-identical to any other execution order.
-    """
-    from repro.engine.executor import _run_one
-
-    for batch in plan.batches:
-        yield from run_planned_batch(
-            batch, backend, compact=compact, recorder=recorder
-        )
-    for idx, spec in plan.singles:
-        yield idx, _run_one(spec, backend, recorder=recorder)
-
-
-def iter_planned(
-    items: Iterable[IndexedSpec],
-    backend: str,
-    batch_memory: int | None = None,
-    compact: bool = True,
-    pack_widths: bool = False,
-    recorder=None,
-) -> Iterator[tuple[int, ScenarioResult]]:
-    """Plan a work list and execute it: :func:`plan_batches` +
-    :func:`iter_plan` in one call.
-
-    ``recorder`` reaches only the *execution* half: pool workers re-plan
-    their own chunk through this helper, and letting that inner plan
-    record scheduler metrics would double-count them (the parent
-    campaign's :func:`plan_batches` is the single scheduler-metrics
-    source)."""
-    yield from iter_plan(
-        plan_batches(items, batch_memory, pack_widths=pack_widths),
-        backend, compact=compact, recorder=recorder,
-    )
 
 
 # ----------------------------------------------------------------------

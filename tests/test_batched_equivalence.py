@@ -39,6 +39,8 @@ import random
 import numpy as np
 import pytest
 
+from batch_harness import run_plan_uncompacted
+
 from repro.engine.backends import (
     BACKEND_AUTO,
     BACKEND_BATCHED,
@@ -580,9 +582,7 @@ class TestCompactionEquivalence:
         expected = {
             r.scenario_id: journal_line(r) for r in serial
         }
-        no_compact = execute_scenarios(
-            HETERO_GRID, backend=BACKEND_BATCHED, compact=False
-        )
+        no_compact = run_plan_uncompacted(HETERO_GRID)
         assert [journal_line(r) for r in no_compact] == [
             journal_line(r) for r in serial
         ]
@@ -804,13 +804,17 @@ class TestCrossWidthPacking:
             (True, 4, True),
         ]
         for pack, jobs, compact in combos:
-            results = execute_scenarios(
-                MIXED_N_SPECS,
-                jobs=jobs,
-                backend=BACKEND_BATCHED,
-                pack_widths=pack,
-                compact=compact,
-            )
+            if compact:
+                results = execute_scenarios(
+                    MIXED_N_SPECS,
+                    jobs=jobs,
+                    backend=BACKEND_BATCHED,
+                    pack_widths=pack,
+                )
+            else:
+                results = run_plan_uncompacted(
+                    MIXED_N_SPECS, jobs=jobs, pack_widths=pack
+                )
             assert [journal_line(r) for r in results] == expected, (
                 pack, jobs, compact,
             )

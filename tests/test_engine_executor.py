@@ -9,7 +9,10 @@ import pytest
 from repro.analysis.properties import check_agreement_properties
 from repro.analysis.stats import decision_stats
 from repro.engine.executor import (
+    _Outcome,
+    _Unit,
     default_chunksize,
+    dispatch,
     execute_scenario,
     execute_scenarios,
     require_ok,
@@ -21,11 +24,11 @@ from repro.predicates.psrcs import Psrcs
 
 
 # Module-level so the pool can pickle it to a worker by reference.
-def _chunk_out_of_memory(chunk, backend="reference"):
+def _chunk_out_of_memory(unit, backend="reference"):
     raise MemoryError("worker infra failure")
 
 
-def _chunk_hard_kill(chunk, backend="reference"):
+def _chunk_hard_kill(unit, backend="reference"):
     # Simulate the OOM killer / a segfaulting extension: the worker
     # vanishes without unwinding Python.  The sleep lets the harvest
     # loop observe the chunk running first (10ms poll), so the
@@ -135,7 +138,7 @@ class TestExecuteScenarios:
         import repro.engine.executor as executor_module
 
         monkeypatch.setattr(
-            executor_module, "_execute_chunk", lambda chunk: None
+            executor_module, "_execute_unit", lambda unit: None
         )
         specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s)
                  for s in range(2)]
@@ -150,7 +153,7 @@ class TestExecuteScenarios:
         import repro.engine.executor as executor_module
 
         monkeypatch.setattr(
-            executor_module, "_execute_chunk", _chunk_out_of_memory
+            executor_module, "_execute_unit", _chunk_out_of_memory
         )
         specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s)
                  for s in range(2)]
@@ -170,7 +173,7 @@ class TestHardKilledWorkers:
         import repro.engine.executor as executor_module
 
         monkeypatch.setattr(
-            executor_module, "_execute_chunk", _chunk_hard_kill
+            executor_module, "_execute_unit", _chunk_hard_kill
         )
         specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s)
                  for s in range(6)]
@@ -193,7 +196,7 @@ class TestHardKilledWorkers:
         from repro.engine.campaign import Campaign
 
         monkeypatch.setattr(
-            executor_module, "_execute_chunk", _chunk_hard_kill
+            executor_module, "_execute_unit", _chunk_hard_kill
         )
         specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s)
                  for s in range(2)]
@@ -204,6 +207,80 @@ class TestHardKilledWorkers:
         campaign2 = Campaign(specs, store=tmp_path / "j.jsonl", jobs=2)
         report = campaign2.run()
         assert report.executed == 0 and report.skipped == 2
+
+
+class _ScriptedSlots:
+    """A dispatcher slot adapter that runs nothing: ``script(indices,
+    run)`` decides the ``run``-th dispatch of the unit over ``indices``
+    — ``None`` succeeds, ``was_running`` (a bool) loses it to a pool
+    break observed running or still queued."""
+
+    PREFIX = "executor"
+    RETRIES = "executor.unit_retries"
+    size = 2
+
+    def __init__(self, script):
+        self.script = script
+        self.runs: dict = {}
+        self.units: dict = {}
+
+    def usable(self):
+        return True
+
+    def submit(self, unit):
+        ticket = object()
+        self.units[ticket] = unit
+        return ticket
+
+    def wait(self, pending):
+        if not pending:
+            time.sleep(0.001)
+        for ticket in list(pending):
+            unit = self.units.pop(ticket)
+            indices = tuple(idx for idx, _ in unit.items)
+            run = self.runs.get(indices, 0)
+            self.runs[indices] = run + 1
+            was_running = self.script(indices, run)
+            if was_running is None:
+                yield _Outcome(ticket, [(idx, "ok") for idx in indices])
+            else:
+                yield _Outcome(
+                    ticket, error=("BrokenProcessPool", "pool broke"),
+                    was_running=was_running, lost=True,
+                )
+
+    def info(self, stats):
+        return []
+
+
+class TestDispatchRetryBudget:
+    """Pool-break accounting of the one dispatch loop: a once-only
+    death must not spend the budget of scenarios it did not hit."""
+
+    PAIR = [(0, ScenarioSpec(n=4, k=2, seed=0)),
+            (1, ScenarioSpec(n=4, k=2, seed=1))]
+
+    def _dispatch(self, script, max_retries=1):
+        return dispatch(
+            [_Unit(list(self.PAIR))], _ScriptedSlots(script),
+            backend="reference", timeout=None, max_retries=max_retries,
+            should_stop=None, recorder=None, deliver=None,
+        )
+
+    def test_queued_unit_is_not_charged_for_a_pool_break(self):
+        # Queued through three breaks, then it runs: never charged.
+        results = self._dispatch(lambda idx, run: False if run < 3 else None)
+        assert results == ["ok", "ok"]
+
+    def test_split_singletons_get_a_fresh_budget(self):
+        # The pair dies running and splits; singleton 0 then loses its
+        # slot once more to a death beside it, and succeeds after.
+        def script(indices, run):
+            if len(indices) == 2 or (indices == (0,) and run == 0):
+                return True
+            return None
+
+        assert self._dispatch(script) == ["ok", "ok"]
 
 
 class TestTimeouts:
@@ -329,7 +406,7 @@ class TestWorkerPool:
             _signal.signal(_signal.SIGTERM, previous)
 
 
-def _chunk_transient(chunk, backend="reference", collect=False):
+def _chunk_transient(unit, backend="reference", collect=False):
     # Module-level so the pool can pickle it to a worker by reference.
     raise MemoryError("transient worker failure")
 
@@ -369,7 +446,7 @@ class TestStopDuringBackoff:
         run = {"max_retries": 3, "should_stop": stop.is_set}
         if path == "pool":
             monkeypatch.setattr(
-                executor_module, "_execute_chunk", _chunk_transient
+                executor_module, "_execute_unit", _chunk_transient
             )
             with pytest.raises(ExecutionStopped):
                 execute_scenarios(specs, jobs=2, **run)
@@ -378,7 +455,7 @@ class TestStopDuringBackoff:
             from worker_harness import thread_workers
 
             monkeypatch.setattr(
-                remote_module, "_execute_chunk", _chunk_transient
+                remote_module, "_execute_unit", _chunk_transient
             )
             with thread_workers() as endpoints:
                 with pytest.raises(ExecutionStopped):
@@ -389,3 +466,44 @@ class TestStopDuringBackoff:
         assert flipped, "the unit was never retried"
         elapsed = stopped_at - flipped[0]
         assert elapsed < 1.0, f"stopped {elapsed:.2f}s after the signal"
+
+
+class TestBackendValidatedAtEntry:
+    """An unknown backend raises ``ValueError`` at the entry point,
+    before any unit runs or dispatches, on every execution path."""
+
+    SPECS = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s) for s in range(2)]
+
+    @pytest.fixture
+    def no_units(self, monkeypatch):
+        import repro.engine.executor as executor_module
+        import repro.engine.faults as faults_module
+        import repro.engine.remote as remote_module
+
+        ran: list = []
+
+        def no_dispatch(*_args, **_kwargs):
+            raise AssertionError("a unit dispatched")
+
+        monkeypatch.setattr(faults_module, "before_scenario", ran.append)
+        monkeypatch.setattr(executor_module, "dispatch", no_dispatch)
+        monkeypatch.setattr(remote_module, "dispatch", no_dispatch)
+        yield
+        assert ran == [], "a scenario ran"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_serial_and_pool(self, jobs, no_units):
+        with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
+            execute_scenarios(self.SPECS, jobs=jobs, backend="vectorized")
+
+    @pytest.mark.daemon
+    def test_fleet(self, no_units):
+        from worker_harness import thread_workers
+
+        from repro.engine.remote import execute_remote
+
+        with thread_workers() as endpoints:
+            with pytest.raises(
+                ValueError, match="unknown backend 'vectorized'"
+            ):
+                execute_remote(self.SPECS, endpoints, backend="vectorized")

@@ -397,3 +397,76 @@ def test_campaign_run_sigterm_flushes_and_hints_resume(tmp_path):
     assert len(loaded) >= 1
     for result in loaded.values():
         assert result.ok
+
+
+# ----------------------------------------------------------------------
+# The fault hook fires once per scenario, fallback lanes included
+# ----------------------------------------------------------------------
+def _lazily_unsupported_batch():
+    """A 3-lane planned batch whose last two lanes the fast path rejects
+    only inside the kernel (their ``adjacency_stack`` raises), so
+    ``auto`` re-runs them on the reference simulator."""
+    from repro.adversaries.grouped import GroupedSourceAdversary
+    from repro.engine.scenarios import register_adversary
+    from repro.engine.scheduler import plan_batches
+    from repro.rounds.fastpath import FastPathUnsupported
+
+    class _NoStack(GroupedSourceAdversary):
+        def adjacency_stack(self, rounds, start=1):
+            raise FastPathUnsupported("no vectorizable randomness")
+
+    register_adversary(
+        "no-stack-fault-count",
+        lambda spec: _NoStack(spec.n, num_groups=2, seed=spec.seed),
+    )
+    specs = [ScenarioSpec(n=6, k=2, num_groups=2, seed=0)] + [
+        ScenarioSpec(n=6, k=2, adversary="no-stack-fault-count", seed=s)
+        for s in (1, 2)
+    ]
+    (batch,) = plan_batches(list(enumerate(specs))).batches
+    assert batch.lanes == 3
+    return batch
+
+
+class TestFaultHookOncePerScenario:
+    @pytest.fixture
+    def hook_calls(self, monkeypatch):
+        calls: list[str] = []
+        monkeypatch.setattr(
+            faults_module, "before_scenario",
+            lambda spec: calls.append(spec.scenario_id),
+        )
+        return calls
+
+    def test_pool_worker_entry_point(self, hook_calls):
+        from repro.engine.executor import _execute_unit, _Unit
+
+        batch = _lazily_unsupported_batch()
+        pairs = _execute_unit(_Unit(list(batch.items), batch), "auto")
+        assert [r.backend for _idx, r in pairs] == [
+            "batched", "reference", "reference",
+        ]
+        assert sorted(hook_calls) == sorted(
+            spec.scenario_id for _idx, spec in batch.items
+        )
+
+    def test_fleet_worker_unit(self, hook_calls):
+        from repro.engine.remote import _run_unit
+
+        batch = _lazily_unsupported_batch()
+        reply = _run_unit(
+            {
+                "type": "unit", "kind": "batch", "id": "u1",
+                "backend": "auto", "n": batch.n, "bucket": batch.bucket,
+                "width": batch.width,
+                "items": [[idx, spec.to_dict()] for idx, spec in batch.items],
+            },
+            False,
+        )
+        assert reply["type"] == "result"
+        assert [rec["backend"] for _idx, rec in reply["records"]] == [
+            "batched", "reference", "reference",
+        ]
+        assert sorted(hook_calls) == sorted(
+            spec.scenario_id for _idx, spec in batch.items
+        )

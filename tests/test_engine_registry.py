@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.engine.backends import execute_scenario_with_backend
 from repro.engine.campaign import Campaign
 from repro.engine.executor import execute_scenarios, require_ok
 from repro.engine.registry import (
@@ -22,10 +23,14 @@ from repro.engine.registry import (
     family_names,
     get_family,
     run_family,
-    run_registered_scenario,
 )
 from repro.engine.scenarios import ScenarioSpec
-from repro.engine.store import canonical_line, decode_result, encode_result
+from repro.engine.store import (
+    canonical_line,
+    decode_result,
+    encode_result,
+    journal_line,
+)
 
 SEVEN_FAMILIES = (
     "figure1",
@@ -67,7 +72,7 @@ class TestRegistryBasics:
 
     def test_unknown_family_option_contained_as_error(self):
         spec = ScenarioSpec(n=5, options=(("family", "bogus"),))
-        result = run_registered_scenario(spec, "reference")
+        result = execute_scenario_with_backend(spec, "reference")
         assert result.status == "error"
         assert "unknown experiment family" in result.error
 
@@ -83,13 +88,76 @@ class TestRegistryBasics:
             and not s.opt("min_over_all")
         )
         hooked = next(s for s in grid if s.opt("hooks", True))
-        ok = run_registered_scenario(covered, "batched")
+        ok = execute_scenario_with_backend(covered, "batched")
         assert ok.status == "ok" and ok.backend == "batched"
-        result = run_registered_scenario(hooked, "batched")
+        result = execute_scenario_with_backend(hooked, "batched")
         assert result.status == "error"
         assert "FastPathUnsupported" in result.error
         with pytest.raises(ValueError, match="does not support backend"):
             family_campaign("ablation", backend="batched")
+
+
+def _family_backend_pairs():
+    for name in family_names():
+        family = get_family(name)
+        for backend in ("reference", "batched", "auto"):
+            if family.supports_backend(backend):
+                yield pytest.param(name, backend, id=f"{name}-{backend}")
+
+
+def _forced_batched_errors():
+    """``(spec, error)``: the texts a forced ``batched`` run journals
+    for a spec outside the fast path's scope."""
+    for name in ("duality", "figure1", "fuzz", "theorem2"):
+        yield pytest.param(
+            get_family(name).grid({})[0],
+            f"FastPathUnsupported: family {name!r} runs only on the "
+            "reference backend",
+            id=name,
+        )
+    hooked = next(
+        s for s in get_family("ablation").grid({}) if s.opt("hooks", True)
+    )
+    yield pytest.param(
+        hooked,
+        "FastPathUnsupported: scenario outside family 'ablation''s "
+        "fast-path scope",
+        id="ablation-hooked",
+    )
+    yield pytest.param(
+        ScenarioSpec(
+            n=5, k=2, adversary="crash", algorithm="floodmin",
+            options=(("f", 1),),
+        ),
+        "FastPathUnsupported: algorithm 'floodmin' has no fast path",
+        id="floodmin",
+    )
+
+
+class TestOneBackendRule:
+    """The public per-scenario entry point is the rule every execution
+    path journals: same record bytes, error text and backend tag
+    included."""
+
+    @pytest.mark.parametrize("name,backend", list(_family_backend_pairs()))
+    def test_entry_point_matches_journaled_record(self, name, backend):
+        spec = get_family(name).grid({})[0]
+        (journaled,) = execute_scenarios([spec], backend=backend)
+        assert journal_line(
+            execute_scenario_with_backend(spec, backend)
+        ) == journal_line(journaled)
+
+    @pytest.mark.parametrize(
+        "spec,error", list(_forced_batched_errors())
+    )
+    def test_forced_batched_error_texts(self, spec, error):
+        (journaled,) = execute_scenarios([spec], backend="batched")
+        for result in (
+            journaled, execute_scenario_with_backend(spec, "batched")
+        ):
+            assert (result.status, result.backend, result.error) == (
+                "error", "batched", error,
+            )
 
 
 class TestFigure1Family:

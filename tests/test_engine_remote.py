@@ -202,6 +202,21 @@ class TestFleetPresplit:
             journal_line(r) for r in serial
         ]
 
+    def test_plan_singles_chunk_over_the_fleet(self):
+        # Default order-chunks spread the plan singles (not the whole
+        # work list) over the fleet, as the pool does over its workers.
+        singles = [
+            ScenarioSpec(
+                n=5, k=2, adversary="crash", algorithm="floodmin",
+                options=(("f", 1),), seed=s,
+            )
+            for s in range(16)
+        ]
+        units = self._units(self.SPECS + singles, backend="auto")
+        chunks = [u for u in units if u.kind == "chunk"]
+        assert [len(u.items) for u in chunks] == [1] * len(singles)
+        assert [spec for u in chunks for _, spec in u.items] == singles
+
     def test_presplit_is_noop_for_unbatched_backends(self):
         with contracts_enabled() as active:
             units = self._units(self.SPECS, backend="reference")
@@ -324,10 +339,10 @@ class TestFleetDispatchPolicy:
         # A worker-side TypeError fails identically on every retry: it
         # must journal a terminal "error" (as on the pool), not be
         # retried and journaled as a retriable "timeout".
-        def broken(chunk, backend="reference", collect=False):
+        def broken(unit, backend="reference", collect=False):
             raise TypeError("unit cannot run")
 
-        monkeypatch.setattr(remote, "_execute_chunk", broken)
+        monkeypatch.setattr(remote, "_execute_unit", broken)
         rec = Recorder()
         with thread_workers() as endpoints:
             results = execute_remote(
@@ -349,15 +364,15 @@ class TestFleetDispatchPolicy:
         # Hold the first plan position on one worker, so the merger
         # holds back every later result the other worker completes.
         release = threading.Event()
-        real = remote._execute_chunk
+        real = remote._execute_unit
         first = self.SPECS[0].scenario_id
 
-        def gated(chunk, backend="reference", collect=False):
-            if any(spec.scenario_id == first for _idx, spec in chunk):
+        def gated(unit, backend="reference", collect=False):
+            if any(spec.scenario_id == first for _idx, spec in unit.items):
                 release.wait(30)
-            return real(chunk, backend, collect)
+            return real(unit, backend, collect)
 
-        monkeypatch.setattr(remote, "_execute_chunk", gated)
+        monkeypatch.setattr(remote, "_execute_unit", gated)
         rec = Recorder()
         store = tmp_path / "fleet.jsonl"
         with thread_workers(2) as endpoints:

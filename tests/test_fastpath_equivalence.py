@@ -24,6 +24,7 @@ from repro.adversaries.eventual import EventuallyGoodAdversary
 from repro.adversaries.grouped import GroupedSourceAdversary
 from repro.adversaries.partition import PartitionAdversary
 from repro.adversaries.static import StaticAdversary
+from repro.engine import backends as backends_module
 from repro.engine.backends import (
     BACKEND_AUTO,
     BACKEND_BATCHED,
@@ -257,21 +258,20 @@ class TestBackendDispatch:
             raise AssertionError("auto built an out-of-scope adversary")
 
         monkeypatch.setattr(ScenarioSpec, "build_adversary", no_build)
-        result = execute_scenario_auto(
-            self.UNSUPPORTED, fallback=lambda spec: "fallback"
+        monkeypatch.setattr(
+            backends_module, "_run_reference", lambda spec: "fallback"
         )
-        assert result == "fallback"
+        assert execute_scenario_auto(self.UNSUPPORTED) == "fallback"
 
-    def test_auto_keeps_a_covered_batch_record(self):
+    def test_auto_keeps_a_covered_batch_record(self, monkeypatch):
         spec = ScenarioSpec(n=5, k=2, num_groups=2, seed=3)
         (record,) = execute_scenario_batch([spec])
 
         def no_fallback(spec):
             raise AssertionError("auto re-ran a covered scenario")
 
-        assert execute_scenario_auto(
-            spec, fallback=no_fallback, result=record
-        ) is record
+        monkeypatch.setattr(backends_module, "_run_reference", no_fallback)
+        assert execute_scenario_auto(spec, result=record) is record
 
     def test_auto_reruns_an_unsupported_batch_record(self):
         # The scheduler's planned batches hand their records in: a
@@ -279,15 +279,13 @@ class TestBackendDispatch:
         (record,) = execute_scenario_batch([self.UNSUPPORTED])
         assert record.status == "error"
         assert record.error.startswith("FastPathUnsupported: ")
-        result = execute_scenario_auto(
-            self.UNSUPPORTED, fallback=execute_scenario, result=record
-        )
+        result = execute_scenario_auto(self.UNSUPPORTED, result=record)
         assert result.status == "ok" and result.backend == "reference"
         assert canonical_line(result) == canonical_line(
             execute_scenario(self.UNSUPPORTED)
         )
 
-    def test_auto_keeps_other_error_records(self):
+    def test_auto_keeps_other_error_records(self, monkeypatch):
         # Only the unsupported marker triggers the fallback; any other
         # failure is the fast path's own verdict and is journaled as is.
         from dataclasses import replace
@@ -301,9 +299,8 @@ class TestBackendDispatch:
         def no_fallback(spec):
             raise AssertionError("auto re-ran a non-unsupported error")
 
-        assert execute_scenario_auto(
-            spec, fallback=no_fallback, result=failed
-        ) is failed
+        monkeypatch.setattr(backends_module, "_run_reference", no_fallback)
+        assert execute_scenario_auto(spec, result=failed) is failed
 
     def test_auto_falls_back_to_reference(self):
         result = execute_scenario_with_backend(self.UNSUPPORTED, BACKEND_AUTO)

@@ -17,7 +17,7 @@ Usage::
             execute_remote(specs, fleet.endpoints, ...)
 
 :func:`thread_workers` serves in-thread workers instead, so a test can
-monkeypatch worker-side code (``repro.engine.remote._execute_chunk``)
+monkeypatch worker-side code (``repro.engine.remote._execute_unit``)
 in its own process.
 
 All tests using this module must carry the ``daemon`` marker (see
